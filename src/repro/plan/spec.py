@@ -361,7 +361,7 @@ class PlanSpec:
         """Whether any grid point carries power/carbon accounting.
 
         Spec-level for the same schema reason as :attr:`has_dynamics` —
-        power/carbon runs always take the dynamic loop, so ``has_carbon``
+        power/carbon runs are always dynamic clusters, so ``has_carbon``
         implies ``has_dynamics``.
         """
         return (

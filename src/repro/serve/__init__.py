@@ -33,8 +33,9 @@ single-stream evaluation (:meth:`Backend.run_stream`) to a serving cluster::
 * dynamic clusters — :class:`Autoscaler` policies (reactive / predictive /
   carbon-suspending, with provisioning latency and scale-down hysteresis),
   :class:`FaultSchedule` crash/degrade injection, and
-  :class:`AdmissionControl` load shedding, all replayed bit-identically by
-  the :func:`reference_serve_dynamic` oracle;
+  :class:`AdmissionControl` load shedding — the control plane of the one
+  event loop every scalar simulation runs, replayed bit-identically (static
+  or dynamic) by the one :func:`reference_serve` oracle;
 * energy and carbon — a per-replica :class:`PowerModel` integrated over the
   replica lifecycle into ``ServingReport.energy_j``, a
   :class:`CarbonIntensity` grid trace charging ``carbon_gco2``, the

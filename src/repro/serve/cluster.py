@@ -219,7 +219,7 @@ class DispatchPolicy(ABC):
     def assign(self, item: _QueueItem, state: "_SimState") -> Optional[int]:
         """Replica to pin ``item`` to at arrival; ``None`` leaves it shared.
 
-        Only replicas in ``state.live`` may be returned: the dynamic loop
+        Only replicas in ``state.live`` may be returned: the event loop
         re-routes a dead/draining replica's queue through this hook, and an
         assignment outside ``live`` would strand the request.
         """
@@ -327,8 +327,8 @@ register_policy("edf", EarliestDeadlinePolicy)
 # replicas first, then the control plane (faults, recoveries, scale events)
 # reshapes the pool, and only then are the instant's arrivals/timers
 # considered — so a request arriving the same instant a replica dies is
-# never assigned to it.  The static paths only ever use _COMPLETION,
-# _ARRIVAL and _TIMER, whose relative order is unchanged.
+# never assigned to it.  A static cluster (no control plane) only ever
+# schedules _COMPLETION, _ARRIVAL and _TIMER.
 _COMPLETION, _FAIL, _RECOVER, _SCALE, _ARRIVAL, _TIMER = 0, 1, 2, 3, 4, 5
 
 # Replica lifecycle states (dynamic runs; static pools are all-_ACTIVE).
@@ -355,11 +355,11 @@ def _new_event_counts() -> Dict[str, int]:
 class _SimState:
     """Mutable simulation state shared with policy hooks.
 
-    ``live`` lists the dispatchable replica ids in ascending order.  Static
-    simulations leave it at the default (every replica); the dynamic loop
-    maintains it as replicas provision, drain, die and recover, and the
-    built-in policies assign over it — so a policy written against ``live``
-    behaves identically on a static pool.
+    ``live`` lists the dispatchable replica ids in ascending order.  It
+    starts as the whole pool; the event loop maintains it as replicas
+    provision, drain, die and recover (on a static cluster it never
+    changes), and both dispatch and the built-in policies walk it — so a
+    policy written against ``live`` behaves identically on a static pool.
     """
 
     busy_until: List[float]
@@ -590,11 +590,12 @@ class Cluster:
         work waits, or is shed by the usual admission rules).
 
     Any of ``autoscaler``/``faults``/``admission``/``power``/``carbon``/
-    ``power_cap_w`` makes the cluster *dynamic*: simulation runs through
-    the dynamic event loop (pinned bit-identical to
-    :func:`repro.serve.reference.reference_serve_dynamic`) and the report
-    gains a replica-count timeline, ``replica_seconds`` and lifecycle event
-    counts (plus per-replica energy and carbon when power is modelled).
+    ``power_cap_w`` makes the cluster *dynamic*: the one event loop then
+    runs its control plane (still pinned bit-identical to
+    :func:`repro.serve.reference.reference_serve`) and the report gains a
+    replica-count timeline, ``replica_seconds`` and lifecycle event counts
+    (plus per-replica energy and carbon when power is modelled).  A static
+    report carries none of these.
     """
 
     workloads: Sequence[Workload]
@@ -776,7 +777,7 @@ class Cluster:
     # -- simulation -----------------------------------------------------------
     def serve(
         self,
-        requests: Sequence[ServingRequest],
+        requests: Iterable[ServingRequest],
         duration_s: Optional[float] = None,
         mode: str = "exact",
     ) -> ServingReport:
@@ -786,16 +787,17 @@ class Cluster:
         load generator's configured duration); every submitted request is
         served to completion regardless.
 
-        ``mode`` selects the aggregation path.  ``"exact"`` (the default and
-        the oracle) stores per-request records and arrays; ``"sketch"``
-        folds every completion into O(tenants + replicas) online
-        accumulators — same event loop, same floats for counts, drops and
-        utilisation, P²-estimated percentiles — and accepts ``requests`` as
-        any iterable already sorted by ``(arrival_s, tenant_index, index)``
-        (what :meth:`LoadGenerator.iter_requests` yields), never holding
-        more than the queued backlog in memory.  For sketch mode straight
-        from a generator — including the vectorised FIFO fast path — see
-        :meth:`serve_stream`.
+        ``mode`` selects the sink of the one event loop (:meth:`_serve_loop`).
+        ``"exact"`` (the default and the oracle) sorts ``requests`` and
+        stores per-request records and arrays; ``"sketch"`` folds every
+        completion into O(tenants + replicas) online accumulators — same
+        loop, same floats for counts, drops and utilisation, P²-estimated
+        percentiles — and consumes ``requests`` as a stream that must
+        already be sorted by ``(arrival_s, tenant_index, index)`` (what
+        :meth:`LoadGenerator.iter_requests` yields; unsorted input raises
+        ``ValueError``), never holding more than the queued backlog in
+        memory.  For sketch mode straight from a generator — including the
+        vectorised FIFO fast path — see :meth:`serve_stream`.
 
         The dispatcher keeps the pending requests in policy-ordered heaps —
         one *lane* per replica for pinned requests plus one shared lane —
@@ -805,108 +807,17 @@ class Cluster:
         batching a dispatch is a heap pop, O(log n); with batching the
         selection scans (and pushes back) only as far as the batching
         decision requires, which degrades toward the reference's full walk
-        only when no batch is releasable.  The two are bit-identical; the
-        contract test and ``benchmarks/test_serve_speedup.py`` hold them
-        together.
+        only when no batch is releasable.  The two are bit-identical on
+        static and dynamic clusters alike; the contract tests and
+        ``benchmarks/test_serve_speedup.py`` hold them together.
         """
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
-        if self.dynamic:
-            ordered = sorted(
+        if mode == "exact":
+            requests = sorted(
                 requests, key=lambda r: (r.arrival_s, r.tenant_index, r.index)
             )
-            return self._serve_dynamic(iter(ordered), duration_s, mode)
-        if mode == "sketch":
-            return self._serve_sketch(iter(requests), duration_s)
-        policy = self.policy
-        policy.reset(self.num_replicas)
-        for request in requests:
-            if request.tenant not in self.services:
-                raise ValueError(f"request for unknown tenant {request.tenant!r}")
-        items = [
-            _QueueItem(
-                request=request,
-                seq=seq,
-                service_s=self.services[request.tenant].service_s(
-                    request.graph_index,
-                    batch_size=self.services[request.tenant].base_batch_size,
-                ),
-            )
-            for seq, request in enumerate(
-                sorted(requests, key=lambda r: (r.arrival_s, r.tenant_index, r.index))
-            )
-        ]
-
-        state = _SimState(
-            busy_until=[0.0] * self.num_replicas,
-            queued_work=[0.0] * self.num_replicas,
-        )
-        busy_time = [0.0] * self.num_replicas
-        # Policy-ordered lanes.  An entry is (order_key + (seq,), seq); keys
-        # are computed once at admission, which requires policy order keys to
-        # be stable while a request waits (true of every built-in policy).
-        lanes = _Lanes(
-            shared=[],
-            per_replica=[[] for _ in range(self.num_replicas)],
-            pending=0,
-        )
-        sink = _ExactSink()
-        dropped: List[ServingRequest] = []
-        trace_times: List[float] = []
-        trace_depths: List[int] = []
-        scheduled_timers: set = set()
-
-        # Heap entries: (time, kind, tiebreak).  Completions at a timestamp
-        # are processed before arrivals/timers at the same timestamp.
-        events: List[Tuple[float, int, int]] = [
-            (item.request.arrival_s, _ARRIVAL, item.seq) for item in items
-        ]
-        heapq.heapify(events)
-
-        while events:
-            now = events[0][0]
-            state.now = now
-            # Drain every event at this instant before dispatching, so a
-            # policy sees simultaneous arrivals together (e.g. EDF must pick
-            # the tightest deadline of a burst, not whichever the heap pops
-            # first).  Completions sort before arrivals/timers within the
-            # instant, freeing replicas for the new work.
-            while events and events[0][0] == now:
-                _, kind, payload = heapq.heappop(events)
-                if kind == _ARRIVAL:
-                    item = items[payload]
-                    if (
-                        self.queue_capacity is not None
-                        and lanes.pending >= self.queue_capacity
-                    ):
-                        dropped.append(item.request)
-                    else:
-                        item.replica = policy.assign(item, state)
-                        if item.replica is not None:
-                            state.queued_work[item.replica] += item.service_s
-                        lanes.admit(item, policy.order_key(item) + (item.seq,))
-                # _COMPLETION frees its replica implicitly (busy_until <= now);
-                # _TIMER just wakes the dispatcher for a held batch.
-            # Sample the queue at its peak — after admissions, before
-            # dispatch drains it — so max_queue_depth is consistent with the
-            # drop count when a bounded queue fills.
-            trace_times.append(now)
-            trace_depths.append(lanes.pending)
-            self._dispatch(
-                now, state, lanes, items, busy_time, sink, events, scheduled_timers
-            )
-
-        assert lanes.pending == 0, "simulation ended with requests still queued"
-        return assemble_report(
-            cluster=self,
-            records=sink.records,
-            dropped=dropped,
-            busy_time=busy_time,
-            batch_sizes=sink.batch_sizes,
-            trace_times=np.array(trace_times, dtype=np.float64),
-            trace_depths=np.array(trace_depths, dtype=np.int64),
-            duration_s=duration_s,
-        )
+        return self._serve_loop(iter(requests), duration_s, mode)
 
     def serve_stream(
         self,
@@ -925,7 +836,9 @@ class Cluster:
         over :meth:`LoadGenerator.iter_request_blocks` instead of the scalar
         event loop; both produce the same report (counts, drops and
         utilisation bit-identical to the exact oracle, percentiles within
-        the sketch tolerance).  ``mode="exact"`` materialises the sequence
+        the sketch tolerance).  Otherwise the lazy stream goes through the
+        event loop exactly as ``serve(generator.iter_requests(...),
+        mode="sketch")`` would.  ``mode="exact"`` materialises the sequence
         and runs the array-backed oracle path.
         """
         if mode not in ("exact", "sketch"):
@@ -942,15 +855,10 @@ class Cluster:
                 )
         if self._fast_path_eligible():
             return self._serve_stream_fast(generator, duration_s, num_requests)
-        if self.dynamic:
-            return self._serve_dynamic(
-                generator.iter_requests(duration_s=duration_s, num_requests=num_requests),
-                duration_s,
-                "sketch",
-            )
-        return self._serve_sketch(
+        return self._serve_loop(
             generator.iter_requests(duration_s=duration_s, num_requests=num_requests),
             duration_s,
+            "sketch",
         )
 
     def _fast_path_eligible(self) -> bool:
@@ -966,136 +874,36 @@ class Cluster:
             and not self.dynamic
         )
 
-    def _serve_sketch(
-        self, request_iter: Iterable[ServingRequest], duration_s: Optional[float]
-    ) -> ServingReport:
-        """The event loop with lazy arrivals and online aggregation.
-
-        Identical dispatch semantics to the exact path — same heap, same
-        tie-breaking, same float operations on start/finish/busy times — but
-        arrivals are pulled from ``request_iter`` one ahead of the event
-        heap (the stream is sorted, so one lookahead suffices) and every
-        completion folds into a :class:`_SketchSink` instead of a record
-        list.  Peak memory is the queued backlog, not the request count.
-        """
-        policy = self.policy
-        policy.reset(self.num_replicas)
-        request_iter = iter(request_iter)
-        state = _SimState(
-            busy_until=[0.0] * self.num_replicas,
-            queued_work=[0.0] * self.num_replicas,
-        )
-        busy_time = [0.0] * self.num_replicas
-        lanes = _Lanes(
-            shared=[],
-            per_replica=[[] for _ in range(self.num_replicas)],
-            pending=0,
-        )
-        items: Dict[int, _QueueItem] = {}
-        sink = _SketchSink(self, items)
-        scheduled_timers: set = set()
-        events: List[Tuple[float, int, int]] = []
-        next_seq = 0
-        prev_key: Optional[Tuple[float, int, int]] = None
-
-        def pull() -> None:
-            """Admit the next request of the stream into the event heap."""
-            nonlocal next_seq, prev_key
-            request = next(request_iter, None)
-            if request is None:
-                return
-            if request.tenant not in self.services:
-                raise ValueError(f"request for unknown tenant {request.tenant!r}")
-            key = (request.arrival_s, request.tenant_index, request.index)
-            if prev_key is not None and key < prev_key:
-                raise ValueError(
-                    "sketch-mode serve requires requests sorted by "
-                    "(arrival_s, tenant_index, index); use "
-                    "LoadGenerator.iter_requests or sort the sequence"
-                )
-            prev_key = key
-            service = self.services[request.tenant]
-            items[next_seq] = _QueueItem(
-                request=request,
-                seq=next_seq,
-                service_s=service.service_s(
-                    request.graph_index, batch_size=service.base_batch_size
-                ),
-            )
-            heapq.heappush(events, (request.arrival_s, _ARRIVAL, next_seq))
-            next_seq += 1
-
-        pull()
-        while events:
-            now = events[0][0]
-            state.now = now
-            saw_arrival = False
-            while events and events[0][0] == now:
-                _, kind, payload = heapq.heappop(events)
-                if kind == _ARRIVAL:
-                    saw_arrival = True
-                    item = items[payload]
-                    # Keep exactly one future arrival in the heap: if the
-                    # next request shares this timestamp it joins this
-                    # instant's drain, preserving the exact loop's
-                    # simultaneous-arrival semantics.
-                    pull()
-                    if (
-                        self.queue_capacity is not None
-                        and lanes.pending >= self.queue_capacity
-                    ):
-                        sink.on_drop(item.request)
-                        del items[item.seq]
-                    else:
-                        item.replica = policy.assign(item, state)
-                        if item.replica is not None:
-                            state.queued_work[item.replica] += item.service_s
-                        lanes.admit(item, policy.order_key(item) + (item.seq,))
-                        sink.on_admit(item.request)
-            # Exact mode samples the queue at every instant; the maximum is
-            # always attained at an arrival instant (depth only grows at
-            # admissions), so sampling those keeps max_queue_depth identical
-            # while the histogram documents arrival-instant depths only.
-            if saw_arrival:
-                sink.on_instant_sample(lanes.pending)
-            self._dispatch(
-                now, state, lanes, items, busy_time, sink, events, scheduled_timers
-            )
-
-        assert lanes.pending == 0, "simulation ended with requests still queued"
-        assert not items, "streaming loop leaked queue items"
-        return assemble_sketch_report(
-            cluster=self,
-            sketches=sink.sketches,
-            dropped_by_tenant=sink.dropped_by_tenant,
-            busy_time=busy_time,
-            batch_size_hist=sink.batch_hist,
-            queue_depth_hist=sink.queue_hist,
-            max_completion_s=sink.max_completion_s,
-            max_dropped_arrival_s=sink.max_dropped_arrival_s,
-            duration_s=duration_s,
-        )
-
-    def _serve_dynamic(
+    def _serve_loop(
         self,
         request_iter: Iterable[ServingRequest],
         duration_s: Optional[float],
         mode: str,
     ) -> ServingReport:
-        """The event loop with a mutable replica set (the dynamic cluster).
+        """The event loop every scalar simulation runs through.
 
-        Extends the static loop with a control plane on the same time-ordered
-        heap: ``_FAIL``/``_RECOVER`` events from the fault schedule,
-        ``_SCALE`` events for autoscaler ticks, provisioning completions and
-        drain retirements.  Replicas carry lifecycle states (provisioning ->
-        active -> draining -> dead, plus degraded service-time factors), the
-        dispatch policy sees the dispatchable subset through ``state.live``,
-        and adaptive admission may shed arrivals before the hard queue bound.
-        Rented-replica time (what a deployment pays for) is integrated online
-        so both modes report ``replica_seconds`` with identical float
-        operations; exact mode keeps the full replica-count timeline, sketch
-        mode folds it into a lossless integer histogram, keeping
-        O(tenants + replicas) memory.
+        Arrivals are pulled from ``request_iter`` (sorted by ``(arrival_s,
+        tenant_index, index)``) one ahead of the time-ordered event heap, so
+        the heap holds at most one future arrival.  ``mode`` picks the sink:
+        exact mode keeps every record and a queue sample per instant, sketch
+        mode folds completions into a :class:`_SketchSink` and retires
+        finished items, so memory is the queued backlog, not the request
+        count.
+
+        A static cluster is this loop with no control plane.  A dynamic one
+        adds events to the same heap: ``_FAIL``/``_RECOVER`` from the fault
+        schedule, ``_SCALE`` for autoscaler ticks, provisioning completions,
+        drain retirements and carbon-hold releases.  Replicas carry
+        lifecycle states (provisioning -> active -> draining -> dead, plus
+        degraded service-time factors), the dispatch policy sees the
+        dispatchable subset through ``state.live``, and adaptive admission
+        may shed arrivals before the hard queue bound.  Rented-replica time
+        (what a deployment pays for) is integrated online so both modes
+        report ``replica_seconds`` with identical float operations; exact
+        mode keeps the full replica-count timeline, sketch mode folds it
+        into a lossless integer histogram.  These dynamic-only inputs reach
+        the report only when ``self.dynamic``, so a static report (and its
+        JSON) carries none of them.
 
         Crash semantics: records are emitted at dispatch time (and sketches
         cannot retract an observation), so a replica's in-flight batch
@@ -1103,8 +911,9 @@ class Cluster:
         the replica's future, not its present.  Queued requests pinned to it
         are re-routed through the policy.
 
-        Bit-identical to :func:`repro.serve.reference.reference_serve_dynamic`
-        (the full-sort scalar oracle), which the dynamic contract tests pin.
+        Exact mode is bit-identical to
+        :func:`repro.serve.reference.reference_serve` (the full-sort scalar
+        oracle), which the contract tests pin.
         """
         policy = self.policy
         policy.reset(self.num_replicas)
@@ -1450,7 +1259,7 @@ class Cluster:
             key = (request.arrival_s, request.tenant_index, request.index)
             if prev_key is not None and key < prev_key:
                 raise ValueError(
-                    "dynamic serve requires requests sorted by "
+                    "sketch-mode serve requires requests sorted by "
                     "(arrival_s, tenant_index, index); use "
                     "LoadGenerator.iter_requests or sort the sequence"
                 )
@@ -1477,12 +1286,20 @@ class Cluster:
             now = events[0][0]
             state.now = now
             saw_arrival = False
+            # Drain every event at this instant before dispatching, so a
+            # policy sees simultaneous arrivals together (e.g. EDF must pick
+            # the tightest deadline of a burst, not whichever the heap pops
+            # first).  Completions sort first within the instant, freeing
+            # replicas for the new work.
             while events and events[0][0] == now:
                 _, kind, payload = heapq.heappop(events)
                 if kind == _ARRIVAL:
                     saw_arrival = True
                     arrivals_since += 1
                     item = items[payload]
+                    # Keep exactly one future arrival in the heap: if the
+                    # next request shares this timestamp it joins this
+                    # instant's drain.
                     pull()
                     held_now = False
                     if (
@@ -1534,28 +1351,22 @@ class Cluster:
                             else 0.0,
                         )
                 elif kind == _TIMER:
-                    pass
+                    pass  # just wakes the dispatcher for a held batch
                 else:
                     action, target, factor = controls[payload]
                     handle_control(now, action, target, factor)
+            # Sample the queue at its peak — after admissions, before
+            # dispatch drains it — so max_queue_depth is consistent with the
+            # drop count when a bounded queue fills.  Sketch mode samples
+            # arrival instants only: depth grows only at admissions, so the
+            # maximum is the same while the histogram stays small.
             if exact:
                 trace_times.append(now)
                 trace_depths.append(lanes.pending)
             elif saw_arrival:
                 sink.on_instant_sample(lanes.pending)
             self._dispatch(
-                now,
-                state,
-                lanes,
-                items,
-                busy_time,
-                sink,
-                events,
-                scheduled_timers,
-                live=state.live,
-                factors=factors,
-                power_gate=power_gate,
-                power_busy=power_busy,
+                now, state, lanes, items, busy_time, sink, events, scheduled_timers, factors, power_gate, power_busy
             )
 
         if lanes.pending:
@@ -1571,7 +1382,6 @@ class Cluster:
                 sink.on_shed(items.pop(seq).request)
             lanes.pending = 0
 
-        replica_seconds_state = (rented_integral, last_change_s, rented)
         power_state = None
         if power_model is not None:
             power_state = (
@@ -1583,6 +1393,18 @@ class Cluster:
                 last_c_change,
                 carbon_trace,
             )
+        # The replica timeline, replica-seconds and lifecycle counts are
+        # dynamic-only report fields: a static report leaves them unset, so
+        # its JSON never gains those keys.
+        dynamic_fields: Dict[str, object] = {}
+        if self.dynamic:
+            dynamic_fields["replica_seconds_state"] = (rented_integral, last_change_s, rented)
+            dynamic_fields["event_counts"] = counts
+            if exact:
+                dynamic_fields["replica_count_times_s"] = np.array(timeline_times, dtype=np.float64)
+                dynamic_fields["replica_count_trace"] = np.array(timeline_counts, dtype=np.int64)
+            else:
+                dynamic_fields["replica_count_hist"] = replica_hist
         if exact:
             return assemble_report(
                 cluster=self,
@@ -1594,13 +1416,10 @@ class Cluster:
                 trace_depths=np.array(trace_depths, dtype=np.int64),
                 duration_s=duration_s,
                 shed=sink.shed,
-                replica_count_times_s=np.array(timeline_times, dtype=np.float64),
-                replica_count_trace=np.array(timeline_counts, dtype=np.int64),
-                replica_seconds_state=replica_seconds_state,
-                event_counts=counts,
                 power_state=power_state,
+                **dynamic_fields,
             )
-        assert not items, "dynamic streaming loop leaked queue items"
+        assert not items, "streaming loop leaked queue items"
         return assemble_sketch_report(
             cluster=self,
             sketches=sink.sketches,
@@ -1613,10 +1432,8 @@ class Cluster:
             duration_s=duration_s,
             shed_by_tenant=sink.shed_by_tenant,
             max_shed_arrival_s=sink.max_shed_arrival_s,
-            replica_count_hist=replica_hist,
-            replica_seconds_state=replica_seconds_state,
-            event_counts=counts,
             power_state=power_state,
+            **dynamic_fields,
         )
 
     def _serve_stream_fast(
@@ -1775,29 +1592,26 @@ class Cluster:
         now: float,
         state: _SimState,
         lanes: "_Lanes",
-        items: Union[List[_QueueItem], Dict[int, _QueueItem]],
+        items: Dict[int, _QueueItem],
         busy_time: List[float],
         sink: Union[_ExactSink, _SketchSink],
         events: List[Tuple[float, int, int]],
         scheduled_timers: set,
-        live: Optional[List[int]] = None,
-        factors: Optional[List[float]] = None,
-        power_gate: Optional[Callable[[float, int], bool]] = None,
-        power_busy: Optional[Callable[[float, int], None]] = None,
+        factors: List[float],
+        power_gate: Optional[Callable[[float, int], bool]],
+        power_busy: Optional[Callable[[float, int], None]],
     ) -> None:
-        """Start work on every replica that is free at ``now``.
+        """Start work on every dispatchable replica that is free at ``now``.
 
-        ``live`` restricts dispatch to the dynamic loop's dispatchable
-        replica ids (default: the full static pool); ``factors`` supplies
-        per-replica service-time multipliers for degraded replicas (default:
-        none, and the static float operations are untouched).  ``power_gate``
-        skips a replica whose dispatch would push cluster draw over the watt
-        cap; ``power_busy`` charges a dispatched replica's busy draw into
-        the power ledger.  Both default to None and the static paths never
-        pass them.
+        Walks ``state.live`` (the whole pool on a static cluster).
+        ``factors`` holds each replica's service-time multiplier: 1.0 unless
+        degraded, and ``x * 1.0 == x``, so healthy replicas keep their
+        floats.  ``power_gate`` skips a replica whose dispatch would push
+        cluster draw over the watt cap; ``power_busy`` charges a dispatched
+        replica's busy draw into the power ledger.  Both are None when
+        power is not modelled.
         """
-        replica_ids = range(self.num_replicas) if live is None else live
-        for replica in replica_ids:
+        for replica in state.live:
             if state.busy_until[replica] > now or lanes.pending == 0:
                 continue
             if power_gate is not None and power_gate(now, replica):
@@ -1835,18 +1649,10 @@ class Cluster:
             )
             measured = self.services[tenant].measurement(batch_size=measure_at)
             latencies = measured.latencies_s
-            if factors is None:
-                service_each = [
-                    float(latencies[item.request.graph_index]) for item in batch
-                ]
-            else:
-                # A degraded replica stretches service time (energy is the
-                # work done, which does not change).
-                factor = factors[replica]
-                service_each = [
-                    float(latencies[item.request.graph_index]) * factor
-                    for item in batch
-                ]
+            # A degraded replica stretches service time (energy is the work
+            # done, which does not change).
+            factor = factors[replica]
+            service_each = [float(latencies[item.request.graph_index]) * factor for item in batch]
             finish = now
             for service_s in service_each:
                 finish = finish + service_s
@@ -1869,7 +1675,7 @@ class Cluster:
                 )
 
     def _select_batch(
-        self, lanes: "_Lanes", replica: int, items: List[_QueueItem], now: float
+        self, lanes: "_Lanes", replica: int, items: Dict[int, _QueueItem], now: float
     ) -> Tuple[Optional[List[_QueueItem]], Optional[float]]:
         """The batch a free replica should start at ``now``, or when to retry.
 

@@ -92,7 +92,7 @@ class FaultSchedule:
 
         Only meaningful for explicit schedules swept against a known pool
         size; events against autoscaler-added replicas are impossible to
-        name statically, so the dynamic loop itself treats an out-of-range
+        name statically, so the event loop itself treats an out-of-range
         replica as a no-op rather than an error.
         """
         for event in self.events:

@@ -1,15 +1,18 @@
-"""The pre-optimisation serving loop, kept as the correctness baseline.
+"""The naive serving loop, kept as the correctness baseline.
 
-:func:`reference_serve` is the event-driven simulation exactly as it shipped
-before the heap-lane dispatcher: one full policy-order sort of the queue per
-event instant, linear ``list.remove`` on dispatch.  It is O(n^2 log n) on a
-deep queue and exists for the same reason :func:`repro.dse.naive_sweep`
-does — so benchmarks and tests can assert the optimised
-:meth:`Cluster.serve` is **bit-identical** (same :class:`ServingReport`,
-record for record) while being several times faster
+:func:`reference_serve` is the event-driven simulation written the simplest
+way that works: one full policy-order sort of the queue per event instant,
+linear ``list.remove`` on dispatch, linear scans for every control-plane
+decision.  It is O(n^2 log n) on a deep queue and exists for the same reason
+:func:`repro.dse.naive_sweep` does — so benchmarks and tests can assert the
+optimised :meth:`Cluster.serve` is **bit-identical** (same
+:class:`ServingReport`, record for record) on static and dynamic clusters
+alike, while being several times faster
 (``benchmarks/test_serve_speedup.py``).
 
-Do not "fix" or optimise this module: its value is that it never changes.
+Do not optimise this module: its value is that it is too simple to be
+wrong.  It changes only when the serving semantics do, and then in the
+same float expressions as :meth:`Cluster._serve_loop`.
 """
 
 from __future__ import annotations
@@ -126,102 +129,18 @@ def reference_serve(
     requests: Sequence[ServingRequest],
     duration_s: Optional[float] = None,
 ) -> ServingReport:
-    """Run the pre-optimisation simulation loop on ``cluster``.
+    """Run the full-sort scalar oracle on ``cluster``.
 
-    Accepts the same arguments as :meth:`Cluster.serve` and must produce a
-    bit-identical report.
-    """
-    policy = cluster.policy
-    policy.reset(cluster.num_replicas)
-    for request in requests:
-        if request.tenant not in cluster.services:
-            raise ValueError(f"request for unknown tenant {request.tenant!r}")
-    items = [
-        _QueueItem(
-            request=request,
-            seq=seq,
-            service_s=cluster.services[request.tenant].service_s(
-                request.graph_index,
-                batch_size=cluster.services[request.tenant].base_batch_size,
-            ),
-        )
-        for seq, request in enumerate(
-            sorted(requests, key=lambda r: (r.arrival_s, r.tenant_index, r.index))
-        )
-    ]
-
-    state = _SimState(
-        busy_until=[0.0] * cluster.num_replicas,
-        queued_work=[0.0] * cluster.num_replicas,
-    )
-    busy_time = [0.0] * cluster.num_replicas
-    queue: List[_QueueItem] = []
-    records: List[ServingRecord] = []
-    dropped: List[ServingRequest] = []
-    batch_sizes: List[int] = []
-    trace_times: List[float] = []
-    trace_depths: List[int] = []
-    scheduled_timers: set = set()
-
-    events: List[Tuple[float, int, int]] = [
-        (item.request.arrival_s, _ARRIVAL, item.seq) for item in items
-    ]
-    heapq.heapify(events)
-
-    while events:
-        now = events[0][0]
-        state.now = now
-        while events and events[0][0] == now:
-            _, kind, payload = heapq.heappop(events)
-            if kind == _ARRIVAL:
-                item = items[payload]
-                if (
-                    cluster.queue_capacity is not None
-                    and len(queue) >= cluster.queue_capacity
-                ):
-                    dropped.append(item.request)
-                else:
-                    item.replica = policy.assign(item, state)
-                    if item.replica is not None:
-                        state.queued_work[item.replica] += item.service_s
-                    queue.append(item)
-        trace_times.append(now)
-        trace_depths.append(len(queue))
-        _dispatch(
-            cluster, now, state, queue, busy_time, records, batch_sizes,
-            events, scheduled_timers,
-        )
-
-    assert not queue, "simulation ended with requests still queued"
-    return assemble_report(
-        cluster=cluster,
-        records=records,
-        dropped=dropped,
-        busy_time=busy_time,
-        batch_sizes=batch_sizes,
-        trace_times=np.array(trace_times, dtype=np.float64),
-        trace_depths=np.array(trace_depths, dtype=np.int64),
-        duration_s=duration_s,
-    )
-
-
-def reference_serve_dynamic(
-    cluster: "Cluster",
-    requests: Sequence[ServingRequest],
-    duration_s: Optional[float] = None,
-) -> ServingReport:
-    """The full-sort scalar oracle for the *dynamic* serving loop.
-
-    Mirrors :meth:`Cluster._serve_dynamic` (exact mode) with the naive data
-    structures of :func:`reference_serve`: a flat queue list re-sorted per
-    instant instead of heap lanes, linear scans instead of incremental
-    bookkeeping.  Every control-plane float expression — the rented-time
-    integral, provisioning completion times, hysteresis comparisons, tick
-    scheduling, the power/carbon ledger segments and carbon-hold release
-    times — is written identically to the optimised loop so the two paths
-    produce bit-identical reports, which the dynamic contract tests pin.
-    Like :func:`reference_serve`, this function's value is that it is too
-    simple to be wrong; keep it naive.
+    Accepts the same arguments as :meth:`Cluster.serve` (exact mode) and
+    must produce a bit-identical report.  It mirrors
+    :meth:`Cluster._serve_loop` with naive data structures: a flat queue
+    list re-sorted per instant instead of heap lanes, linear scans instead
+    of incremental bookkeeping.  Every control-plane float expression — the
+    rented-time integral, provisioning completion times, hysteresis
+    comparisons, tick scheduling, the power/carbon ledger segments and
+    carbon-hold release times — is written identically to the optimised
+    loop.  A static cluster simply never schedules a control event, and
+    its report carries no dynamic-only fields.
     """
     policy = cluster.policy
     policy.reset(cluster.num_replicas)
@@ -584,7 +503,7 @@ def reference_serve_dynamic(
                 handle_control(now, action, target, factor)
         trace_times.append(now)
         trace_depths.append(len(queue))
-        _dispatch_dynamic(
+        _dispatch(
             cluster, now, state, factors, queue, busy_time, records, batch_sizes,
             events, scheduled_timers, power_gate, power_busy,
         )
@@ -596,7 +515,6 @@ def reference_serve_dynamic(
             shed.append(item.request)
         del queue[:]
 
-    replica_seconds_state = (rented_integral, last_change_s, rented)
     power_state = None
     if power_model is not None:
         power_state = (
@@ -608,6 +526,15 @@ def reference_serve_dynamic(
             last_c_change,
             carbon_trace,
         )
+    # Dynamic-only report fields, exactly as the optimised loop gates them.
+    dynamic_fields: Dict[str, object] = {}
+    if cluster.dynamic:
+        dynamic_fields = {
+            "replica_count_times_s": np.array(timeline_times, dtype=np.float64),
+            "replica_count_trace": np.array(timeline_counts, dtype=np.int64),
+            "replica_seconds_state": (rented_integral, last_change_s, rented),
+            "event_counts": counts,
+        }
     return assemble_report(
         cluster=cluster,
         records=records,
@@ -618,15 +545,17 @@ def reference_serve_dynamic(
         trace_depths=np.array(trace_depths, dtype=np.int64),
         duration_s=duration_s,
         shed=shed,
-        replica_count_times_s=np.array(timeline_times, dtype=np.float64),
-        replica_count_trace=np.array(timeline_counts, dtype=np.int64),
-        replica_seconds_state=replica_seconds_state,
-        event_counts=counts,
         power_state=power_state,
+        **dynamic_fields,
     )
 
 
-def _dispatch_dynamic(
+#: Alias for callers that import the oracle by its dynamic-cluster name
+#: (``perfbench/workloads.py`` among them).
+reference_serve_dynamic = reference_serve
+
+
+def _dispatch(
     cluster: "Cluster",
     now: float,
     state: _SimState,
@@ -637,15 +566,14 @@ def _dispatch_dynamic(
     batch_sizes: List[int],
     events: List[Tuple[float, int, int]],
     scheduled_timers: set,
-    power_gate: Optional[Callable[[float, int], bool]] = None,
-    power_busy: Optional[Callable[[float, int], None]] = None,
+    power_gate: Optional[Callable[[float, int], bool]],
+    power_busy: Optional[Callable[[float, int], None]],
 ) -> None:
-    """The full-sort dispatch walk over the live replica subset.
+    """Start work on every free live replica at ``now`` (full-sort path).
 
-    Same shape as the static :func:`_dispatch`, but iterating ``state.live``
-    instead of the full pool and stretching service times by the replica's
-    degradation factor — with the multiplication placed exactly as in
-    :meth:`Cluster._dispatch` so the floats match bit for bit.
+    Stretches service times by the replica's degradation factor, with the
+    multiplication placed exactly as in :meth:`Cluster._dispatch` so the
+    floats match bit for bit.
     """
     ordered = sorted(
         queue, key=lambda item: cluster.policy.order_key(item) + (item.seq,)
@@ -701,73 +629,6 @@ def _dispatch_dynamic(
                 ServingRecord(
                     request=item.request,
                     service_s=service_s,
-                    energy_j=float(measured.energies_j[item.request.graph_index]),
-                    start_s=now,
-                    completion_s=finish,
-                    replica=replica,
-                    batch_size=size,
-                )
-            )
-
-
-def _dispatch(
-    cluster: "Cluster",
-    now: float,
-    state: _SimState,
-    queue: List[_QueueItem],
-    busy_time: List[float],
-    records: List[ServingRecord],
-    batch_sizes: List[int],
-    events: List[Tuple[float, int, int]],
-    scheduled_timers: set,
-) -> None:
-    """Start work on every replica that is free at ``now`` (full-sort path)."""
-    ordered = sorted(
-        queue, key=lambda item: cluster.policy.order_key(item) + (item.seq,)
-    )
-    taken: set = set()
-    for replica in range(cluster.num_replicas):
-        if state.busy_until[replica] > now or len(taken) == len(ordered):
-            continue
-        eligible = [
-            item
-            for item in ordered
-            if item.seq not in taken
-            and (item.replica is None or item.replica == replica)
-        ]
-        batch, release_at = _select_batch(cluster, eligible, now)
-        if batch is None:
-            if release_at is not None and release_at not in scheduled_timers:
-                scheduled_timers.add(release_at)
-                heapq.heappush(events, (release_at, _TIMER, replica))
-            continue
-        for item in batch:
-            taken.add(item.seq)
-            queue.remove(item)
-            if item.replica is not None:
-                state.queued_work[item.replica] -= item.service_s
-        tenant = batch[0].request.tenant
-        size = len(batch)
-        measure_at = (
-            size
-            if cluster.max_batch_size > 1
-            else cluster.services[tenant].base_batch_size
-        )
-        measured = cluster.services[tenant].measurement(batch_size=measure_at)
-        latencies = measured.latencies_s
-        finish = now
-        for item in batch:
-            finish = finish + float(latencies[item.request.graph_index])
-        service_total = finish - now
-        state.busy_until[replica] = finish
-        busy_time[replica] += service_total
-        batch_sizes.append(size)
-        heapq.heappush(events, (finish, _COMPLETION, replica))
-        for item in batch:
-            records.append(
-                ServingRecord(
-                    request=item.request,
-                    service_s=float(latencies[item.request.graph_index]),
                     energy_j=float(measured.energies_j[item.request.graph_index]),
                     start_s=now,
                     completion_s=finish,

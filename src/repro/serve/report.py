@@ -423,10 +423,11 @@ def assemble_report(
     values are bit-identical to the loop formulation — same floats, same
     (request-index) ordering — which the serving contract tests pin.
 
-    The dynamic loop additionally passes the shed-request list, the rented
-    replica-count timeline, the partial replica-seconds integral
-    ``(integral, last_change_s, rented)`` — finalised here once the horizon
-    is known — and the lifecycle event counters.
+    The event loop also passes the shed-request list (empty on a static
+    cluster) and, on a dynamic cluster only, the rented replica-count
+    timeline, the partial replica-seconds integral ``(integral,
+    last_change_s, rented)`` — finalised here once the horizon is known —
+    and the lifecycle event counters.
     """
     num_records = len(records)
     completions_all = np.fromiter(
@@ -564,7 +565,7 @@ def _finalise_replica_seconds(
     """Close the rented-replica integral at the horizon.
 
     ``state`` is ``(integral_to_last_change, last_change_s, rented_now)`` as
-    maintained by the dynamic loop; the final segment runs from the last
+    maintained by the event loop; the final segment runs from the last
     pool change to the horizon.  Static runs pass ``None`` and stay ``None``
     (``ServingReport.is_dynamic`` keys off this).
     """
@@ -579,7 +580,7 @@ def _finalise_power(
 ) -> Tuple[Optional[np.ndarray], Optional[float], Optional[float]]:
     """Close the power and carbon integrals at the horizon.
 
-    ``state`` is the dynamic loop's power ledger — per-replica
+    ``state`` is the event loop's power ledger — per-replica
     ``(accumulated J, current watts, last change time)`` columns plus the
     cluster draw, carbon accumulator and trace — exactly as maintained
     online; the final segment of each replica runs from its last draw

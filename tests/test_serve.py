@@ -422,15 +422,19 @@ class TestClusterMechanics:
         b = batched.serve(requests).tenants["t"].report
         assert b.energy_mj_per_graph < a.energy_mj_per_graph
 
-    def test_request_for_unknown_tenant_rejected(self, two_tenants, cpu_cluster):
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_request_for_unknown_tenant_rejected(self, two_tenants, cpu_cluster, dynamic, mode):
         from dataclasses import replace
 
+        cluster = cpu_cluster.with_options(admission="queue=64") if dynamic else cpu_cluster
+        assert cluster.dynamic == dynamic
         requests = LoadGenerator.constant(two_tenants, 1000.0, seed=0).generate(
             num_requests=1
         )
         ghost = [replace(requests[0], tenant="ghost")]
         with pytest.raises(ValueError, match="unknown tenant"):
-            cpu_cluster.serve(ghost)
+            cluster.serve(ghost, mode=mode)
 
     def test_bounded_queue_drops_and_conserves(self, two_tenants):
         cluster = Cluster(

@@ -295,13 +295,34 @@ class TestDynamicInvariants:
         assert report.shed > 0
         assert report.submitted == report.completed + report.dropped + report.shed
 
-    def test_static_cluster_report_is_not_dynamic(self, tenants):
+    @pytest.mark.parametrize("path", ["exact", "sketch", "stream"])
+    def test_static_cluster_report_is_not_dynamic(self, tenants, path):
+        # Every scalar path runs the one event loop; on a static cluster it
+        # must leave the dynamic-only fields unset, which is what keeps
+        # static JSON (and the committed fixtures) unchanged.
         cluster = _cluster(tenants)
-        requests, duration = _load(cluster, 0.8)
-        report = cluster.serve(requests, duration_s=duration)
+        assert not cluster.dynamic
+        assert not cluster._fast_path_eligible()  # batch 2: serve_stream stays scalar
+        mean = cluster.mean_service_s()
+        duration = 60 * mean
+        generator = LoadGenerator.poisson(tenants, 0.8 * cluster.num_replicas / mean, seed=0)
+        if path == "exact":
+            report = cluster.serve(generator.generate(duration_s=duration), duration_s=duration)
+        elif path == "sketch":
+            report = cluster.serve(generator.iter_requests(duration_s=duration), duration_s=duration, mode="sketch")
+        else:
+            report = cluster.serve_stream(generator, duration_s=duration)
+        assert report.completed > 0
         assert not report.is_dynamic
         assert report.replica_seconds is None
-        assert not cluster.dynamic
+        assert report.event_counts == {}
+        assert report.replica_count_trace is None
+        assert report.replica_count_times_s is None
+        assert report.replica_count_hist is None
+        assert report.energy_j is None
+        payload = report.to_dict()
+        for key in ("replica_seconds", "peak_replicas", "event_counts", "replica_count", "energy_j"):
+            assert key not in payload
 
     def test_dynamic_report_to_dict_round_trips(self, tenants):
         import json

@@ -252,9 +252,7 @@ class TestSketchOracleCrossCheck:
         rate = 1.1 * cluster.num_replicas / cluster.mean_service_s()
         generator = LoadGenerator.poisson(two_tenants, rate, seed=5)
         fast = cluster.serve_stream(generator, num_requests=400)
-        scalar = cluster._serve_sketch(
-            generator.iter_requests(num_requests=400), None
-        )
+        scalar = cluster.serve(generator.iter_requests(num_requests=400), mode="sketch")
         np.testing.assert_array_equal(
             fast.per_replica_utilisation, scalar.per_replica_utilisation
         )
@@ -314,6 +312,35 @@ class TestSketchOracleCrossCheck:
             generator.generate(duration_s=0.01), duration_s=0.01
         )
         assert via_stream.to_json() == via_serve.to_json()
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_sketch_serve_rejects_unsorted_requests(self, two_tenants, dynamic):
+        """Sketch mode streams its input, so it never sorts it; exact mode does."""
+        cluster = Cluster(two_tenants, backend="cpu", num_replicas=2, policy="edf")
+        if dynamic:
+            cluster = cluster.with_options(admission="queue=64")
+        assert cluster.dynamic == dynamic
+        requests = LoadGenerator.poisson(two_tenants, 15_000.0, seed=3).generate(num_requests=20)
+        shuffled = list(reversed(requests))
+        with pytest.raises(ValueError, match="sorted"):
+            cluster.serve(shuffled, mode="sketch")
+        assert cluster.serve(shuffled).to_json() == cluster.serve(requests).to_json()
+
+    def test_sketch_serve_equals_serve_stream_on_dynamic_cluster(self, two_tenants):
+        """Off the fast path, serve_stream is sketch-mode serve over iter_requests."""
+        cluster = Cluster(two_tenants, backend="cpu", num_replicas=2, policy="least_loaded")
+        mean = cluster.mean_service_s()
+        cluster = cluster.with_options(
+            autoscaler=f"reactive:min=1,max=4,interval={4 * mean},delay={2 * mean}",
+            faults=f"fail@{20 * mean}:r0;recover@{60 * mean}:r0",
+            admission="queue=32,headroom=2",
+        )
+        generator = LoadGenerator.bursty(two_tenants, 1.5 * 2 / mean, seed=4)
+        n = 150
+        via_serve = cluster.serve(generator.iter_requests(num_requests=n), mode="sketch")
+        via_stream = cluster.serve_stream(generator, num_requests=n)
+        assert via_serve.is_dynamic
+        assert via_serve.to_json() == via_stream.to_json()
 
 
 # ---------------------------------------------------------------------------
