@@ -133,8 +133,8 @@ def _add_record_flag(parser: argparse.ArgumentParser) -> None:
 #: Namespace keys that select *how* a run executes or is exported, not *what*
 #: it computes — excluded from the recorded config signature so a re-run of
 #: the same workload matches regardless of worker count or output flags.
-#: ``executor`` and ``resume`` are operational too: every executor produces
-#: byte-identical rows, so a steal-executor resume of a pool-executor run is
+#: ``executor`` and ``resume`` are operational too: both executors produce
+#: byte-identical rows, so a serial-executor resume of a pool-executor run is
 #: legitimate and must signature-match.
 _NON_SIGNATURE_KEYS = {
     "command",
@@ -195,9 +195,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTOR_NAMES,
         default="pool",
         help="engine transport: serial (in-process) | pool (chunked "
-        "multiprocessing, the default) | steal (single-item work stealing) "
-        "| dispatcher (spawned workers over a spooled work directory); "
-        "every choice produces byte-identical results",
+        "process pool, the default); both produce byte-identical results",
     )
     parser.add_argument(
         "--resume",
@@ -999,18 +997,22 @@ def _report_row(report) -> dict:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    request = InferenceRequest(
-        model=args.model,
-        dataset=args.dataset,
-        num_graphs=args.num_graphs,
-        batch_size=args.batch_size,
-        config={
-            "p_node": args.nt_units,
-            "p_edge": args.mp_units,
-            "p_apply": args.apply,
-            "p_scatter": args.scatter,
-        },
-    )
+    try:
+        request = InferenceRequest(
+            model=args.model,
+            dataset=args.dataset,
+            num_graphs=args.num_graphs,
+            batch_size=args.batch_size,
+            config={
+                "p_node": args.nt_units,
+                "p_edge": args.mp_units,
+                "p_apply": args.apply,
+                "p_scatter": args.scatter,
+            },
+        )
+    except ValueError as error:
+        print(f"invalid simulation request: {error}", file=sys.stderr)
+        return 2
     report = get_backend(args.backend).run(request)
 
     other_reports = []
@@ -1069,6 +1071,14 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _run_datasets(args: argparse.Namespace) -> int:
     names = args.names or DATASET_NAMES
+    unknown = [name for name in names if name not in DATASET_NAMES]
+    if unknown:
+        print(
+            f"unknown dataset(s) {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(DATASET_NAMES)}",
+            file=sys.stderr,
+        )
+        return 2
     rows = []
     for name in names:
         if name in ("PubMed", "Reddit"):

@@ -18,7 +18,8 @@ datasets.  This package turns that one-off loop into a reusable subsystem:
   with table/CSV export and Pareto-frontier extraction.
 
 The engine produces *bit-identical* cycle counts to the naive per-point loop
-(see ``benchmarks/test_dse_speedup.py``) while being several times faster.
+over the whole Fig. 10 grid (pinned in ``tests/test_dse.py``) while being
+several times faster.
 """
 
 from .cache import ScheduleCache, graph_signature, schedule_cache_key

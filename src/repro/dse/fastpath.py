@@ -20,8 +20,8 @@ re-derives the same schedules in closed form / as ``numpy`` recurrences:
 
 Every quantity involved is an integer held in ``int64``/``float64``, so the
 rewritten arithmetic is exact and the results match the reference scheduler
-*bit for bit* (asserted over the full model zoo in ``tests/test_dse.py`` and
-re-checked for the whole Fig. 10 grid in ``benchmarks/test_dse_speedup.py``).
+*bit for bit* (asserted over the full model zoo and the whole Fig. 10 grid
+in ``tests/test_dse.py``).
 
 Strategies other than ``flowgnn`` are already cheap (closed-form or a single
 short loop), so they fall through to the reference implementation.

@@ -249,8 +249,8 @@ class SweepRunner:
         Compute cache misses with the vectorised scheduler (bit-identical to
         the reference; off means the reference scheduler runs on misses).
     executor:
-        Engine transport (``serial`` / ``pool`` / ``steal`` /
-        ``dispatcher``); every choice produces byte-identical rows.
+        Engine transport (``serial`` / ``pool``); both produce
+        byte-identical rows.
     """
 
     def __init__(

@@ -11,12 +11,11 @@ This package is the one implementation they all now run on:
   per-worker state, ``evaluate(item)`` one row, ``collect()`` worker-side
   statistics;
 * :class:`Engine` — runs any job over a pluggable executor (``serial`` /
-  ``pool`` / ``steal`` / ``dispatcher``, see :mod:`repro.engine.exec`) with
-  per-worker context injection, enumeration-order row reassembly,
-  incremental completed/total progress callbacks and optional
-  :class:`Checkpoint` journaling for kill-and-resume runs.  A 1-worker and
-  an N-worker run of the same job — under any executor — produce identical
-  rows in identical order;
+  ``pool``, see :mod:`repro.engine.exec`) with per-worker context
+  injection, enumeration-order row reassembly, incremental completed/total
+  progress callbacks and optional :class:`Checkpoint` journaling for
+  kill-and-resume runs.  A 1-worker and an N-worker run of the same job —
+  under either executor — produce identical rows in identical order;
 * :func:`contiguous_chunks` — the deterministic chunking primitive
   (previously copy-pasted between the dse and plan runners);
 * :class:`ResultTable` — the base class behind ``SweepResult``,
@@ -34,12 +33,10 @@ from .exec import (
     EXECUTOR_NAMES,
     Checkpoint,
     CheckpointSlice,
-    DispatcherExecutor,
     Executor,
     MemoryCheckpoint,
     PoolExecutor,
     SerialExecutor,
-    WorkStealingExecutor,
     make_executor,
 )
 from .job import Job
@@ -49,7 +46,6 @@ __all__ = [
     "EXECUTOR_NAMES",
     "Checkpoint",
     "CheckpointSlice",
-    "DispatcherExecutor",
     "Engine",
     "EngineRun",
     "Executor",
@@ -59,7 +55,6 @@ __all__ = [
     "ProgressCallback",
     "ResultTable",
     "SerialExecutor",
-    "WorkStealingExecutor",
     "contiguous_chunks",
     "make_executor",
 ]

@@ -6,17 +6,11 @@ the checkpoint journal — while delegating the transport to a pluggable
 :class:`~repro.engine.exec.Executor`:
 
 * ``serial`` — in-process, no pool (the reference transport);
-* ``pool`` — contiguous chunks over a ``multiprocessing`` pool, the
-  historical engine path: job + context pickled **once per worker** through
-  the pool initializer, ordered ``imap`` drain;
-* ``steal`` — single-item dispatch from the pool's shared queue, so an idle
-  worker always steals the next item instead of waiting behind a
-  straggler's chunk;
-* ``dispatcher`` — fuzzbench-style dispatcher/scheduler split over a
-  spooled work directory of spawned worker processes.
+* ``pool`` — contiguous chunks over a process pool: job + context pickled
+  **once per worker** through the pool initializer, ordered drain.
 
 Rows are reassembled by enumeration index in the parent, so a 1-worker and
-an N-worker run — and any pair of executors — produce identical rows in
+an N-worker run — and either executor — produce identical rows in
 identical order, by construction.
 
 Passing a ``checkpoint`` journal to :meth:`Engine.run` makes the run
@@ -69,18 +63,15 @@ class Engine:
     ----------
     workers:
         Worker count.  ``None`` uses ``os.cpu_count()``; values below 2 run
-        the pool-backed executors in-process (no pool, identical rows).
+        the ``pool`` executor in-process (no pool, identical rows).
     chunk_items:
         ``None`` (default) splits pool work into one contiguous chunk per
         worker; a positive integer dispatches contiguous chunks of that many
         items, trading task overhead for load balancing of uneven items.
-        Only the ``pool`` executor chunks; ``steal`` and ``dispatcher``
-        always dispatch single items.
     executor:
         One of :data:`~repro.engine.exec.EXECUTOR_NAMES` (``"serial"``,
-        ``"pool"``, ``"steal"``, ``"dispatcher"``), or a pre-built
-        :class:`~repro.engine.exec.Executor` instance (used as given, no
-        in-process fallback).
+        ``"pool"``), or a pre-built :class:`~repro.engine.exec.Executor`
+        instance (used as given, no in-process fallback).
     """
 
     def __init__(
@@ -154,13 +145,9 @@ class Engine:
     def _select_executor(self, num_pending: int) -> Executor:
         if not isinstance(self.executor, str):
             return self.executor
-        # The pool-backed transports degrade to in-process execution when a
-        # pool could not help (one worker, or a single pending item): same
-        # code path as a worker, same rows, no pickling.
-        if self.executor in ("pool", "steal") and (
-            self.workers < 2 or num_pending < 2
-        ):
-            return SerialExecutor()
-        if self.executor == "serial":
+        # The pool degrades to in-process execution when it could not help
+        # (one worker, or a single pending item): same code path as a
+        # worker, same rows, no pickling.
+        if self.executor == "serial" or self.workers < 2 or num_pending < 2:
             return SerialExecutor()
         return make_executor(self.executor, self.workers, self.chunk_items)

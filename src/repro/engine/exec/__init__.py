@@ -1,19 +1,14 @@
 """Pluggable executors: how an :class:`~repro.engine.Engine` fans out.
 
-Four transports behind one :class:`Executor` protocol, all byte-identical
-by construction (rows are reassembled by enumeration index in the engine):
+Two transports behind one :class:`Executor` protocol, byte-identical by
+construction (rows are reassembled by enumeration index in the engine):
 
 * :class:`SerialExecutor` — in-process, no pool; the reference transport;
-* :class:`PoolExecutor` — contiguous chunks over a ``multiprocessing``
-  pool with ordered ``imap`` drain (the historical engine path);
-* :class:`WorkStealingExecutor` — single-item dispatch from the pool's
-  shared queue, unordered drain; stragglers never block idle workers;
-* :class:`DispatcherExecutor` — fuzzbench-style dispatcher/scheduler split:
-  tasks spooled to a work directory, free-running spawned workers claim
-  them by atomic rename, the parent polls results back.
+* :class:`PoolExecutor` — contiguous chunks over a process pool with
+  ordered drain; a worker that dies makes the run raise.
 
 Plus the :class:`Checkpoint` journal (and :class:`CheckpointSlice` window)
-that makes any executor's run resumable after a kill.
+that makes either executor's run resumable after a kill.
 
 Like the rest of :mod:`repro.engine`, this package imports nothing from the
 rest of :mod:`repro` at module scope.
@@ -21,22 +16,18 @@ rest of :mod:`repro` at module scope.
 
 from .base import EXECUTOR_NAMES, Executor, OnRow
 from .checkpoint import Checkpoint, CheckpointSlice, MemoryCheckpoint
-from .dispatcher import DispatcherExecutor
 from .pool import PoolExecutor
 from .serial import SerialExecutor
-from .steal import WorkStealingExecutor
 
 __all__ = [
     "EXECUTOR_NAMES",
     "Checkpoint",
     "CheckpointSlice",
-    "DispatcherExecutor",
     "Executor",
     "MemoryCheckpoint",
     "OnRow",
     "PoolExecutor",
     "SerialExecutor",
-    "WorkStealingExecutor",
     "make_executor",
 ]
 
@@ -47,10 +38,6 @@ def make_executor(name, workers, chunk_items=None):
         return SerialExecutor()
     if name == "pool":
         return PoolExecutor(workers, chunk_items=chunk_items)
-    if name == "steal":
-        return WorkStealingExecutor(workers)
-    if name == "dispatcher":
-        return DispatcherExecutor(workers)
     raise ValueError(
         f"unknown executor {name!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
     )

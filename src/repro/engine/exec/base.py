@@ -3,8 +3,7 @@
 An executor is handed the *pending* work — ``(index, item)`` pairs in
 enumeration order, minus anything a checkpoint already journaled — and a
 parent-side ``on_row(index, row)`` callback.  It may evaluate items in any
-order, on any transport (in-process, a ``multiprocessing`` pool, spawned
-worker processes over a spooled directory), as long as it calls ``on_row``
+order, in-process or in a process pool, as long as it calls ``on_row``
 exactly once per pending item.  The engine reassembles rows by enumeration
 index, so every executor is byte-identical to every other by construction:
 ordering lives in the engine, transport lives here.
@@ -24,7 +23,7 @@ __all__ = ["EXECUTOR_NAMES", "Executor", "OnRow"]
 
 #: The executor names accepted by :class:`~repro.engine.Engine` and the CLI's
 #: ``--executor`` flag, in documentation order.
-EXECUTOR_NAMES = ("serial", "pool", "steal", "dispatcher")
+EXECUTOR_NAMES = ("serial", "pool")
 
 #: ``on_row(index, row)`` — called in the parent once per completed item.
 OnRow = Callable[[int, Any], None]

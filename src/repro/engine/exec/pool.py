@@ -1,15 +1,21 @@
-"""Contiguous-chunk ``multiprocessing`` pool executor (the historical path).
+"""Contiguous-chunk process-pool executor.
 
 Work is split with :func:`~repro.engine.contiguous_chunks` (or into fixed
-``chunk_items``-sized chunks) and drained with ordered ``imap``: chunk
-results arrive as they complete — which is what lets progress stream — but
-are yielded in submission order.  Maximal per-worker cache locality for
-homogeneous items, at the cost of load balancing.
+``chunk_items``-sized chunks) and drained in order: chunk results arrive as
+they complete — which is what lets progress stream — but are yielded in
+submission order.  One contiguous chunk per worker gives maximal per-worker
+cache locality for homogeneous items; ``chunk_items=1`` load-balances
+uneven ones.
+
+The pool is a :class:`concurrent.futures.ProcessPoolExecutor`, so a worker
+that dies mid-item (a hard crash, not an exception) breaks the pool and the
+run raises :class:`~concurrent.futures.process.BrokenProcessPool` instead
+of waiting forever for the lost chunk.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..chunks import contiguous_chunks
@@ -21,7 +27,7 @@ __all__ = ["PoolExecutor"]
 
 
 class PoolExecutor(Executor):
-    """One contiguous chunk per worker over a ``multiprocessing.Pool``."""
+    """Contiguous chunks of pending items over a process pool."""
 
     name = "pool"
 
@@ -45,12 +51,12 @@ class PoolExecutor(Executor):
                 for start in range(0, len(pending), self.chunk_items)
             ]
         info_by_worker: dict = {}
-        with multiprocessing.Pool(
-            processes=min(self.workers, len(chunks)),
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(chunks)),
             initializer=_init_worker,
             initargs=(job, context),
         ) as pool:
-            for indices, rows, worker_id, info in pool.imap(
+            for indices, rows, worker_id, info in pool.map(
                 _evaluate_indexed_chunk, chunks
             ):
                 for index, row in zip(indices, rows):

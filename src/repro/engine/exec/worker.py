@@ -1,4 +1,4 @@
-"""Pool-worker plumbing shared by the pool and work-stealing executors.
+"""Pool-worker plumbing for the pool executor.
 
 The job and its prepared context cross the process boundary exactly once
 per worker, through the pool initializer — never once per task.  Worker
@@ -14,7 +14,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..job import Job
 
-__all__ = ["_evaluate_indexed_chunk", "_evaluate_one", "_init_worker"]
+__all__ = ["_evaluate_indexed_chunk", "_init_worker"]
 
 # Worker-process state, installed once per pool worker by ``_init_worker``.
 _WORKER_JOB: Optional[Job] = None
@@ -33,9 +33,3 @@ def _evaluate_indexed_chunk(
     indices = [index for index, _ in chunk]
     rows = [_WORKER_JOB.evaluate(item) for _, item in chunk]
     return indices, rows, os.getpid(), _WORKER_JOB.collect()
-
-
-def _evaluate_one(task: Tuple[int, Any]) -> Tuple[int, Any, int, Optional[Any]]:
-    """Evaluate a single ``(index, item)`` pair (work-stealing dispatch)."""
-    index, item = task
-    return index, _WORKER_JOB.evaluate(item), os.getpid(), _WORKER_JOB.collect()

@@ -145,9 +145,9 @@ def run_all_experiments(
     in-process).  Rows are identical for any worker count.  ``progress``
     (optional) receives ``(completed, total)`` item counts as evaluations
     stream back from the engine.  ``executor`` selects the engine transport
-    (``serial`` / ``pool`` / ``steal`` / ``dispatcher``) and ``checkpoint``
-    (a :class:`~repro.engine.Checkpoint`) journals completed suite items
-    for kill-and-resume — neither changes the assembled rows.
+    (``serial`` / ``pool``) and ``checkpoint`` (a
+    :class:`~repro.engine.Checkpoint`) journals completed suite items for
+    kill-and-resume — neither changes the assembled rows.
 
     .. note:: the default is parallel.  On platforms whose multiprocessing
        start method is ``spawn`` (macOS, Windows), call this under an

@@ -1,8 +1,8 @@
 """The longitudinal results store and reporting service.
 
 Turns one-shot run outputs into an operated record, fuzzbench-style: runs
-recorded with provenance into SQLite (:mod:`~repro.results.store`), CI
-benchmark artifacts accumulated into trajectories
+recorded with provenance into SQLite (:mod:`~repro.results.store`),
+pytest-benchmark artifacts accumulated into trajectories
 (:mod:`~repro.results.ingest`), and self-contained static HTML reports with
 statistical run-vs-run comparisons generated offline from the store
 (:mod:`~repro.results.report`, :mod:`~repro.results.stats`).
@@ -14,7 +14,7 @@ Entry points:
 * ``repro report [--db PATH] [--out DIR] [--compare A B]`` — generate HTML.
 """
 
-from .ingest import ingest_benchmark_file, ingest_benchmark_files, ingest_verdicts_file
+from .ingest import ingest_benchmark_file, ingest_benchmark_files
 from .report import (
     DEFAULT_COMPARE_METRICS,
     compare_runs,
@@ -44,7 +44,6 @@ __all__ = [
     "config_signature",
     "ingest_benchmark_file",
     "ingest_benchmark_files",
-    "ingest_verdicts_file",
     "generate_report",
     "compare_runs",
     "render_comparison_text",

@@ -1,20 +1,14 @@
-"""Ingest CI benchmark artifacts into the results store.
+"""Ingest pytest-benchmark artifacts into the results store.
 
-The CI ``bench`` job produces two artifact families per commit:
-
-* pytest-benchmark ``BENCH_*.json`` files — one measured point per
-  benchmark (mean/stddev wall clock, plus the repo's ``extra_info``
-  conventions: ``speedup``, ``cpus``, ``gate_floor``);
-* ``VERDICTS.json`` from ``benchmarks/compare_to_baseline.py --json-out`` —
-  the regression gate's machine-readable per-benchmark outcome.
-
-Ingesting them turns disconnected per-build artifacts into one longitudinal
-trajectory (the fuzzbench model: measurements land in the store; reports are
-generated from the store).  Ingestion is **idempotent**: a benchmark point is
-keyed on ``(fullname, recorded_utc)`` and a verdict on
-``(name, recorded_utc)``, both taken from the artifact itself — re-running
-CI ingestion over the same files replaces identical rows instead of
-duplicating the trajectory.
+The paper-figure benchmarks (``pytest benchmarks/ --benchmark-json=...``)
+produce ``BENCH_*.json`` files — one measured point per benchmark (mean and
+stddev wall clock, plus any ``extra_info`` fields such as ``speedup`` and
+``cpus``).  Ingesting them turns disconnected per-build artifacts into one
+longitudinal trajectory (the fuzzbench model: measurements land in the
+store; reports are generated from the store).  Ingestion is **idempotent**:
+a benchmark point is keyed on ``(fullname, recorded_utc)``, both taken from
+the artifact itself — re-ingesting the same files replaces identical rows
+instead of duplicating the trajectory.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from typing import Dict, List
 
 from .store import ResultStore, StoreError
 
-__all__ = ["ingest_benchmark_file", "ingest_benchmark_files", "ingest_verdicts_file"]
+__all__ = ["ingest_benchmark_file", "ingest_benchmark_files"]
 
 
 def _load_json(path: str) -> Dict:
@@ -87,37 +81,3 @@ def ingest_benchmark_files(store: ResultStore, paths: List[str]) -> int:
     """Ingest several ``BENCH_*.json`` files; returns total benchmarks."""
     return sum(ingest_benchmark_file(store, path) for path in paths)
 
-
-def ingest_verdicts_file(store: ResultStore, path: str) -> int:
-    """Ingest a ``compare_to_baseline.py --json-out`` verdicts file."""
-    payload = _load_json(path)
-    verdicts = payload.get("verdicts")
-    if not isinstance(verdicts, list):
-        raise StoreError(f"{path!r} is not a verdicts JSON (no 'verdicts')")
-    recorded = payload.get("recorded_utc") or ""
-    ingested = 0
-    connection = store._connection
-    connection.execute("BEGIN IMMEDIATE")
-    try:
-        for verdict in verdicts:
-            connection.execute(
-                "INSERT OR REPLACE INTO verdicts (name, recorded_utc, verdict,"
-                " mode, ratio, bound, skipped_reason, source)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    verdict.get("name"),
-                    recorded,
-                    verdict.get("verdict"),
-                    verdict.get("mode"),
-                    verdict.get("ratio"),
-                    verdict.get("bound"),
-                    verdict.get("skipped_reason"),
-                    path,
-                ),
-            )
-            ingested += 1
-        connection.commit()
-    except BaseException:
-        connection.rollback()
-        raise
-    return ingested

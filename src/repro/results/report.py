@@ -16,7 +16,6 @@ Sections, each produced only when the store holds matching data:
 * **benchmark trajectory** — one inline-SVG series per ingested benchmark
   over recording time/commits (mean wall clock, or speedup where recorded);
 * **Pareto frontier** scatter for the latest dse and plan runs;
-* **gate verdicts** — the most recent regression-gate outcomes;
 * a **run-vs-run comparison** (``--compare A B``) with Mann-Whitney U and
   seeded bootstrap confidence intervals (:mod:`repro.results.stats`).
 
@@ -27,7 +26,6 @@ across invocations — no generation timestamps, no unsorted iteration.
 from __future__ import annotations
 
 import html
-import json
 import os
 from string import Template
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -401,32 +399,6 @@ def _benchmark_section(store: ResultStore) -> str:
     return "\n".join(parts)
 
 
-def _verdict_section(store: ResultStore) -> str:
-    rows = store.verdict_rows()
-    if not rows:
-        return ""
-    decorated = []
-    for row in rows:
-        css = {"ok": "ok", "FAIL": "fail"}.get(row["verdict"], "warn")
-        decorated.append({**row, "verdict": row["verdict"], "_css": css})
-    parts = [f"<h2>Regression-gate verdicts ({len(rows)})</h2>"]
-    # Render with per-row verdict colouring (small bespoke table).
-    header = ["recorded_utc", "benchmark", "verdict", "mode", "ratio", "bound", "skipped_reason"]
-    body = ["<table>", "<tr>" + "".join(f"<th>{h}</th>" for h in header) + "</tr>"]
-    for row in decorated:
-        cells = []
-        for key in header:
-            value = _format_cell(row.get(key))
-            if key == "verdict":
-                cells.append(f"<td class='{row['_css']}'>{html.escape(value)}</td>")
-            else:
-                cells.append(f"<td>{html.escape(value)}</td>")
-        body.append("<tr>" + "".join(cells) + "</tr>")
-    body.append("</table>")
-    parts.append("\n".join(body))
-    return "\n".join(parts)
-
-
 def _overview_section(store: ResultStore) -> str:
     rows = [
         {"kind": kind, "runs": len(store.run_ids(kind))} for kind in store.kinds()
@@ -459,7 +431,6 @@ def generate_report(
         _run_history_section(store),
         _pareto_sections(store),
         _benchmark_section(store),
-        _verdict_section(store),
     ]
     if compare is not None:
         verdict = compare_runs(store, compare[0], compare[1], metric=metric, alpha=alpha)

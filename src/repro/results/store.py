@@ -18,10 +18,8 @@ Two tables carry run data:
   reports and comparisons can query individual columns without parsing the
   nested payload.
 
-Two more accumulate CI artifacts (:mod:`repro.results.ingest`):
-``benchmarks`` (pytest-benchmark ``BENCH_*.json``) and ``verdicts``
-(regression-gate outcomes from ``benchmarks/compare_to_baseline.py
---json-out``).
+One more accumulates benchmark artifacts (:mod:`repro.results.ingest`):
+``benchmarks`` (pytest-benchmark ``BENCH_*.json``).
 
 Two carry resumable-run journals (:class:`StoreCheckpoint`, the durable
 :class:`~repro.engine.Checkpoint`): ``checkpoint_runs`` — one row per
@@ -108,17 +106,6 @@ CREATE TABLE IF NOT EXISTS benchmarks (
     machine      TEXT,
     source       TEXT,
     PRIMARY KEY (fullname, recorded_utc)
-);
-CREATE TABLE IF NOT EXISTS verdicts (
-    name           TEXT NOT NULL,
-    recorded_utc   TEXT NOT NULL,
-    verdict        TEXT NOT NULL,
-    mode           TEXT,
-    ratio          REAL,
-    bound          REAL,
-    skipped_reason TEXT,
-    source         TEXT,
-    PRIMARY KEY (name, recorded_utc)
 );
 CREATE TABLE IF NOT EXISTS checkpoint_runs (
     run_id      TEXT PRIMARY KEY,
@@ -297,7 +284,7 @@ class StoreCheckpoint:
 
 
 class ResultStore:
-    """SQLite-backed store of runs, benchmark points and gate verdicts.
+    """SQLite-backed store of runs, benchmark points and run checkpoints.
 
     Parameters
     ----------
@@ -634,7 +621,7 @@ class ResultStore:
         """Every recorded run (optionally one kind), in insertion order."""
         return [self.load_run(run_id) for run_id in self.run_ids(kind)]
 
-    # -- CI artifact queries (populated by repro.results.ingest) ------------
+    # -- benchmark queries (populated by repro.results.ingest) -------------
     def benchmark_names(self) -> List[str]:
         cursor = self._connection.execute(
             "SELECT DISTINCT fullname FROM benchmarks ORDER BY fullname"
@@ -661,23 +648,4 @@ class ResultStore:
                 "machine": machine,
             }
             for recorded, commit, mean_s, stddev_s, speedup, cpus, gate_floor, machine in cursor
-        ]
-
-    def verdict_rows(self) -> List[Dict]:
-        """Every ingested gate verdict, newest first."""
-        cursor = self._connection.execute(
-            "SELECT recorded_utc, name, verdict, mode, ratio, bound, skipped_reason"
-            " FROM verdicts ORDER BY recorded_utc DESC, name"
-        )
-        return [
-            {
-                "recorded_utc": recorded,
-                "benchmark": name,
-                "verdict": verdict,
-                "mode": mode,
-                "ratio": ratio,
-                "bound": bound,
-                "skipped_reason": reason,
-            }
-            for recorded, name, verdict, mode, ratio, bound, reason in cursor
         ]

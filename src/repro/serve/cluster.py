@@ -808,8 +808,8 @@ class Cluster:
         selection scans (and pushes back) only as far as the batching
         decision requires, which degrades toward the reference's full walk
         only when no batch is releasable.  The two are bit-identical on
-        static and dynamic clusters alike; the contract tests and
-        ``benchmarks/test_serve_speedup.py`` hold them together.
+        static and dynamic clusters alike; the contract tests in
+        ``tests/test_serve.py`` hold them together.
         """
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")

@@ -7,8 +7,8 @@ decision.  It is O(n^2 log n) on a deep queue and exists for the same reason
 :func:`repro.dse.naive_sweep` does — so benchmarks and tests can assert the
 optimised :meth:`Cluster.serve` is **bit-identical** (same
 :class:`ServingReport`, record for record) on static and dynamic clusters
-alike, while being several times faster
-(``benchmarks/test_serve_speedup.py``).
+alike, including a 4,000-request queue that peaks above 1,000
+(``tests/test_serve.py``).
 
 Do not optimise this module: its value is that it is too simple to be
 wrong.  It changes only when the serving semantics do, and then in the

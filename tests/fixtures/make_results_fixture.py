@@ -10,7 +10,7 @@ significant / not-significant verdicts of ``repro report --compare``:
 * ``dse-3`` — 8 sweep points near 10 ms again (*not significant* vs dse-1);
 * ``plan-4`` — 4 capacity-planning scenarios (exercises the plan Pareto
   section);
-* two benchmark trajectory points and one gate verdict.
+* two benchmark trajectory points.
 
 Run from the repo root::
 
@@ -94,12 +94,6 @@ def main():
             (bench, "2026-08-02T00:00:00Z", "bbbb222", "2026-08-02T00:00:00Z",
              1.05, 0.01, 1.03, 1.07, 3, 2.4, 4, 2.0, "ci", "BENCH_experiments.json"),
         ],
-    )
-    store._connection.execute(
-        "INSERT OR REPLACE INTO verdicts (name, recorded_utc, verdict, mode,"
-        " ratio, bound, skipped_reason, source) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-        (bench, "2026-08-02T00:00:00Z", "ok", "speedup", 2.4, 1.58, None,
-         "VERDICTS.json"),
     )
     # Fold the WAL back into the main file so the committed fixture is a
     # single self-contained .db with no -wal/-shm sidecars.

@@ -128,6 +128,32 @@ class TestCommands:
         assert "dsp" in out
 
 
+class TestSimulateAndDatasetsErrorPaths:
+    """Bad input exits 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--num-graphs", "--batch-size", "--nt-units", "--mp-units", "--apply", "--scatter"],
+    )
+    def test_simulate_zero_value_exits_with_error(self, flag, capsys):
+        assert main(["simulate", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid simulation request:")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("names", [["nope"], ["MolHIV", "nope"]])
+    def test_unknown_dataset_exits_before_loading(self, names, monkeypatch, capsys):
+        loaded = []
+        monkeypatch.setattr("repro.cli.load_dataset", lambda *a, **k: loaded.append(a))
+        assert main(["datasets"] + names) == 2
+        captured = capsys.readouterr()
+        assert loaded == []
+        assert captured.out == ""
+        assert captured.err.startswith("unknown dataset(s) 'nope';")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestDseErrorPaths:
     """Error paths of ``repro dse --backend`` (and friends)."""
 

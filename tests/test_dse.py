@@ -296,6 +296,27 @@ class TestSweepRunner:
             ("GCN", "MolHIV"), ("GCN", "HEP"), ("GAT", "MolHIV"), ("GAT", "HEP"),
         }
 
+    def test_fig10_grid_engine_matches_naive_sweep(self):
+        """The full Fig. 10 grid (108 configs, 12 MolHIV graphs): the engine
+        replicates the ``StreamResult`` aggregation operation for operation."""
+        spec = SweepSpec.parallelism_grid(num_graphs=12, board=None)
+        naive = naive_sweep(spec)
+        engine = SweepRunner(spec, workers=0).run()
+        assert len(naive.rows) == len(engine.rows) == spec.num_points()
+        for reference, candidate in zip(naive.rows, engine.rows):
+            assert candidate["total_cycles"] == reference["total_cycles"], reference
+            assert candidate["latency_ms"] == reference["latency_ms"], reference
+
+    def test_dse_worker_fanout_matches_serial(self):
+        """Rows from a multiprocessing run are identical to the serial run."""
+        spec = SweepSpec.parallelism_grid(
+            node_values=(1, 2), edge_values=(1, 4), apply_values=(2,), scatter_values=(4,),
+            num_graphs=6, board=None,
+        )
+        serial = SweepRunner(spec, workers=0).run()
+        fanned = SweepRunner(spec, workers=2).run()
+        assert fanned.rows == serial.rows
+
 
 class TestPareto:
     def test_dominated_rows_removed(self):

@@ -1,14 +1,14 @@
 """Tests for the pluggable executor subsystem and checkpointed resume.
 
-Covers the four transports' byte-identity contract (serial / pool / steal /
-dispatcher all reproduce the committed pre-refactor fixtures), the
-checkpoint journal (kill-mid-run then resume is byte-identical to an
-uninterrupted run, and resumed items are never re-evaluated), the
-:class:`CheckpointSlice` window the dse runner threads through its
-per-group jobs, the durable :class:`repro.results.StoreCheckpoint`, the
-dispatcher's crashed-worker detection, and the CLI resume surface
-(``--executor`` / ``--resume`` / the ``runs list`` resumable marker),
-including a real SIGTERM kill of a recording subprocess.
+Covers the two transports' byte-identity contract (serial and pool both
+reproduce the committed pre-refactor fixtures), the checkpoint journal
+(kill-mid-run then resume is byte-identical to an uninterrupted run, and
+resumed items are never re-evaluated), the :class:`CheckpointSlice` window
+the dse runner threads through its per-group jobs, the durable
+:class:`repro.results.StoreCheckpoint`, the pool's crashed-worker
+detection, and the CLI resume surface (``--executor`` / ``--resume`` / the
+``runs list`` resumable marker), including a real SIGTERM kill of a
+recording subprocess.
 """
 
 import json
@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import List
 
@@ -26,12 +27,10 @@ from repro.dse import SweepRunner, SweepSpec
 from repro.engine import (
     EXECUTOR_NAMES,
     CheckpointSlice,
-    DispatcherExecutor,
     Engine,
     Job,
     MemoryCheckpoint,
-    SerialExecutor,
-    WorkStealingExecutor,
+    PoolExecutor,
     make_executor,
 )
 from repro.eval import run_all_experiments
@@ -99,7 +98,7 @@ def _fixture_plan_spec() -> PlanSpec:
 # Byte-identity: every transport reproduces the committed fixtures
 # ---------------------------------------------------------------------------
 class TestExecutorByteIdentity:
-    """All four transports must move zero bytes of sweep output."""
+    """Both transports must move zero bytes of sweep output."""
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_dse_fixture_identical_under_every_executor(self, executor):
@@ -121,13 +120,11 @@ class TestExecutorByteIdentity:
             fast=True, names=names, workers=0, executor="serial"
         )
         ref_rows = {name: reference[name].rows for name in names}
-        for executor in ("pool", "steal", "dispatcher"):
-            results = run_all_experiments(
-                fast=True, names=names, workers=2, executor=executor
-            )
-            assert {name: results[name].rows for name in names} == ref_rows, (
-                f"executor {executor!r} moved experiment rows"
-            )
+        results = run_all_experiments(
+            fast=True, names=names, workers=2, executor="pool"
+        )
+        assert list(results) == names
+        assert {name: results[name].rows for name in names} == ref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +166,15 @@ class TestExecutorSelection:
 
     def test_executor_instance_is_used_as_given(self):
         serial = Engine(workers=0, executor="serial").run(SquaresJob())
-        custom = Engine(workers=4, executor=WorkStealingExecutor(2)).run(
+        custom = Engine(workers=4, executor=PoolExecutor(2)).run(
             SquaresJob()
         )
         assert custom.rows == serial.rows
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_single_worker_runs_every_transport(self, executor):
-        """``workers=0`` must work for every name (pool/steal degrade to
-        in-process; dispatcher clamps to one spawned worker)."""
+        """``workers=0`` must work for every name (pool degrades to
+        in-process)."""
         run = Engine(workers=0, executor=executor).run(SquaresJob(count=4))
         assert [row["value"] for row in run.rows] == [100, 101, 104, 109]
 
@@ -323,7 +320,7 @@ class TestStoreCheckpoint:
     def test_rows_round_trip_losslessly(self, tmp_path):
         with ResultStore(str(tmp_path / "ckpt.db")) as store:
             checkpoint = store.begin_checkpoint(
-                "dse", "cafebabe", executor="steal", workers=2
+                "dse", "cafebabe", executor="pool", workers=2
             )
             rows = {
                 0: {"latency_ms": 0.123456789012345, "model": "GCN"},
@@ -386,11 +383,11 @@ class TestStoreCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher: crashed workers must not truncate silently
+# Pool: a crashed worker must raise, not hang or truncate silently
 # ---------------------------------------------------------------------------
 @dataclass
 class DyingJob(SquaresJob):
-    """One item hard-kills its worker (no exception, no result file)."""
+    """One item hard-kills its worker (no exception, no result)."""
 
     die_on: int = 2
 
@@ -400,22 +397,10 @@ class DyingJob(SquaresJob):
         return super().evaluate(item)
 
 
-class TestDispatcherExecutor:
-    def test_crashed_worker_raises_instead_of_truncating(self, tmp_path):
-        executor = DispatcherExecutor(
-            workers=1, work_dir=str(tmp_path / "work"), poll_s=0.005
-        )
-        with pytest.raises(RuntimeError, match="results missing"):
-            Engine(workers=1, executor=executor).run(DyingJob(count=5))
-
-    def test_work_dir_left_for_post_mortem_when_supplied(self, tmp_path):
-        work_dir = tmp_path / "work"
-        executor = DispatcherExecutor(workers=2, work_dir=str(work_dir))
-        run = Engine(workers=2, executor=executor).run(SquaresJob(count=4))
-        assert len(run.rows) == 4
-        # A caller-supplied directory is preserved (results + stats remain).
-        assert sorted(os.listdir(work_dir / "results"))
-        assert not os.listdir(work_dir / "tasks")
+class TestPoolExecutor:
+    def test_crashed_worker_raises_instead_of_truncating(self):
+        with pytest.raises(BrokenProcessPool):
+            Engine(workers=2, executor="pool").run(DyingJob(count=6))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +513,7 @@ class TestCliKillResume:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro"]
             + args
-            + ["--executor", "steal", "--record", db, "--progress"],
+            + ["--record", db, "--progress"],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             env=env,
@@ -562,8 +547,6 @@ class TestCliKillResume:
         code = main(
             args
             + [
-                "--executor",
-                "steal",
                 "--record",
                 db,
                 "--resume",

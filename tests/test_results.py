@@ -7,8 +7,8 @@ Pins the subsystem's contracts:
 * **provenance** — runs carry timestamp, git state, version, argv, workers;
 * **concurrency** — two processes recording into the same store (WAL mode)
   both commit, with distinct sequential run ids and no corruption;
-* **ingest idempotency** — re-ingesting a ``BENCH_*.json`` or verdicts
-  file does not duplicate trajectory points;
+* **ingest idempotency** — re-ingesting a ``BENCH_*.json`` file does not
+  duplicate trajectory points;
 * **deterministic reporting** — the committed fixture store
   (``tests/fixtures/results_store.db``, see ``make_results_fixture.py``)
   renders to byte-identical HTML on every run, its payload islands match
@@ -39,15 +39,11 @@ from repro.results import (
     config_signature,
     generate_report,
     ingest_benchmark_file,
-    ingest_verdicts_file,
     mann_whitney_u,
     payloads_in_report,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-BASELINE_BENCH = os.path.join(
-    os.path.dirname(__file__), "..", "benchmarks", "baselines", "BENCH_experiments.json"
-)
 
 
 @pytest.fixture()
@@ -126,7 +122,7 @@ class TestStore:
                     "SELECT name FROM sqlite_master WHERE type='table'"
                 )
             }
-        assert {"runs", "rows", "benchmarks", "verdicts"} <= names
+        assert {"runs", "rows", "benchmarks"} <= names
 
     def test_missing_db_without_create_raises(self, tmp_path):
         with pytest.raises(StoreError):
@@ -246,12 +242,29 @@ class TestConcurrentRecording:
 
 
 # ---------------------------------------------------------------------------
-# Ingest: benchmark artifacts and gate verdicts
+# Ingest: benchmark artifacts
 # ---------------------------------------------------------------------------
 class TestIngest:
-    def test_bench_ingest_and_idempotency(self, store):
-        assert ingest_benchmark_file(store, BASELINE_BENCH) == 1
-        assert ingest_benchmark_file(store, BASELINE_BENCH) == 1  # re-ingest
+    def test_bench_ingest_and_idempotency(self, store, tmp_path):
+        bench = tmp_path / "BENCH_fig10.json"
+        bench.write_text(
+            json.dumps(
+                {
+                    "datetime": "2026-08-08T13:28:03+00:00",
+                    "commit_info": {"id": "f220b74", "time": "2026-08-08T13:00:00+00:00"},
+                    "machine_info": {"node": "vm"},
+                    "benchmarks": [
+                        {
+                            "fullname": "benchmarks/test_fig10_dse.py::test_fig10_dse",
+                            "stats": {"mean": 1.03, "stddev": 0, "min": 1.03, "max": 1.03, "rounds": 1},
+                            "extra_info": {"speedup": 0.69, "cpus": 1},
+                        }
+                    ],
+                }
+            )
+        )
+        assert ingest_benchmark_file(store, str(bench)) == 1
+        assert ingest_benchmark_file(store, str(bench)) == 1  # re-ingest
         names = store.benchmark_names()
         assert len(names) == 1
         trajectory = store.benchmark_trajectory(names[0])
@@ -269,46 +282,6 @@ class TestIngest:
         bad.write_text('{"no": "benchmarks key"}')
         with pytest.raises(StoreError):
             ingest_benchmark_file(store, str(bad))
-
-    def test_verdict_ingest_idempotent(self, store, tmp_path):
-        payload = {
-            "recorded_utc": "2026-08-08T00:00:00Z",
-            "verdicts": [
-                {
-                    "name": "bench::x",
-                    "verdict": "ok",
-                    "mode": "speedup",
-                    "ratio": 2.2,
-                    "bound": 2.0,
-                    "skipped_reason": None,
-                }
-            ],
-        }
-        path = tmp_path / "VERDICTS.json"
-        path.write_text(json.dumps(payload))
-        assert ingest_verdicts_file(store, str(path)) == 1
-        assert ingest_verdicts_file(store, str(path)) == 1
-        rows = store.verdict_rows()
-        assert len(rows) == 1
-        assert rows[0]["verdict"] == "ok"
-        assert rows[0]["ratio"] == 2.2
-
-    def test_compare_to_baseline_emits_ingestible_verdicts(self, store, tmp_path):
-        """The CI gate's --json-out feeds straight into the store."""
-        script = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "compare_to_baseline.py"
-        )
-        out = tmp_path / "VERDICTS.json"
-        proc = subprocess.run(
-            [sys.executable, script, BASELINE_BENCH, BASELINE_BENCH,
-             "--json-out", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert ingest_verdicts_file(store, str(out)) == 1
-        assert store.verdict_rows()[0]["verdict"] == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +337,6 @@ class TestReport:
             "Run history",  # per-kind tables
             "Pareto frontier",  # dse + plan scatter
             "Benchmark trajectory",
-            "Regression-gate verdicts",
             "<svg",  # charts are inline, self-contained
         ):
             assert needle in html, f"missing section: {needle}"

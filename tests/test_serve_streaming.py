@@ -11,8 +11,8 @@ Three contracts, each pinned against the array-backed exact path:
   are identical to exact mode; means match to float-sum reassociation
   (1e-9); p50/p99 sit within the log-histogram's documented ~3.5% band;
 * **O(tenants + replicas) memory** — a 50k-request sketch report occupies
-  exactly as many bytes as a 5k-request one (the tier-1 memory smoke backing
-  the 10M-request gate in ``benchmarks/test_serve_scale.py``).
+  exactly as many bytes as a 5k-request one, and a million-request,
+  100-tenant replay's report exactly as many as its 1%-sized run.
 """
 
 import numpy as np
@@ -362,3 +362,42 @@ class TestSketchMemorySmoke:
         # O(tenants + replicas): dominated by the two fixed-size per-tenant
         # log histograms, far below what 50k records would occupy.
         assert small_nbytes < 200_000
+
+    def test_streaming_serve_million_requests_bounded_memory(self):
+        """A million-request, 100-tenant replay conserves every request and
+        its report is not a single byte larger than the 1%-sized run's."""
+        num_tenants, per_tenant = 100, 10_000
+        tenants = [
+            Workload(
+                f"tenant{i:03d}",
+                model=("GIN" if i % 2 else "GCN"),
+                dataset="MolHIV",
+                num_graphs=4,
+                seed=i,
+                deadline_s=(2e-3 if i % 3 else None),
+                priority=i % 3,
+                share=1.0 + (i % 5) * 0.5,
+            )
+            for i in range(num_tenants)
+        ]
+        cluster = Cluster(tenants, backend="cpu", num_replicas=8)
+        # ~90% of pool capacity: heavily loaded but stable, so queues form
+        # and drain and the latency distribution has both fast and queued
+        # modes.
+        rate = 0.9 * cluster.num_replicas / cluster.mean_service_s()
+        generator = LoadGenerator.poisson(tenants, rate, seed=0)
+        small = cluster.serve_stream(generator, num_requests=per_tenant // 100)
+        report = cluster.serve_stream(generator, num_requests=per_tenant)
+
+        assert report.mode == "sketch"
+        assert report.submitted == num_tenants * per_tenant
+        assert report.submitted == report.completed + report.dropped
+        assert len(report.tenants) == num_tenants
+        for outcome in report.tenants.values():
+            assert outcome.submitted == outcome.completed + outcome.dropped
+            assert outcome.report.p50_latency_ms <= outcome.report.p99_latency_ms
+            assert outcome.report.p99_latency_ms <= outcome.report.max_latency_ms
+        assert sketch_nbytes(report) == sketch_nbytes(small), (
+            "report state grew with request count: per-request state is "
+            "leaking into the sketch report"
+        )
