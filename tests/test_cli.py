@@ -131,26 +131,36 @@ class TestCommands:
 class TestSimulateAndDatasetsErrorPaths:
     """Bad input exits 2 with one stderr line, never a traceback."""
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(
         "flag",
         ["--num-graphs", "--batch-size", "--nt-units", "--mp-units", "--apply", "--scatter"],
     )
-    def test_simulate_zero_value_exits_with_error(self, flag, capsys):
-        assert main(["simulate", flag, "0"]) == 2
+    def test_simulate_value_below_one_exits_with_error(self, flag, value, capsys):
+        assert main(["simulate", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("invalid simulation request:")
+        assert "must be >= 1" in captured.err
         assert len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("names", [["nope"], ["MolHIV", "nope"]])
-    def test_unknown_dataset_exits_before_loading(self, names, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "names, unknown",
+        [
+            (["nope"], "'nope'"),
+            (["MolHIV", "nope"], "'nope'"),
+            (["nope", "MolHIV", "nada"], "'nope', 'nada'"),
+        ],
+        ids=["alone", "after-a-known-name", "every-unknown-in-order"],
+    )
+    def test_unknown_dataset_exits_before_loading(self, names, unknown, monkeypatch, capsys):
         loaded = []
         monkeypatch.setattr("repro.cli.load_dataset", lambda *a, **k: loaded.append(a))
         assert main(["datasets"] + names) == 2
         captured = capsys.readouterr()
         assert loaded == []
         assert captured.out == ""
-        assert captured.err.startswith("unknown dataset(s) 'nope';")
+        assert captured.err.startswith(f"unknown dataset(s) {unknown}; available: MolHIV,")
         assert len(captured.err.splitlines()) == 1
 
 

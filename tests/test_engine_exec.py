@@ -1,12 +1,14 @@
 """Tests for the pluggable executor subsystem and checkpointed resume.
 
-Covers the two transports' byte-identity contract (serial and pool both
-reproduce the committed pre-refactor fixtures), the checkpoint journal
+Covers the two transports' byte-identity contract (serial and pool, in
+contiguous and unit chunks, reproduce the committed pre-refactor fixtures),
+the engine's in-process fallback below two workers, the checkpoint journal
 (kill-mid-run then resume is byte-identical to an uninterrupted run, and
 resumed items are never re-evaluated), the :class:`CheckpointSlice` window
 the dse runner threads through its per-group jobs, the durable
 :class:`repro.results.StoreCheckpoint`, the pool's crashed-worker
-detection, and the CLI resume surface (``--executor`` / ``--resume`` / the
+detection (the run raises and its journal stays resumable), and the CLI
+resume surface (``--executor`` / ``--resume`` / the
 ``runs list`` resumable marker), including a real SIGTERM kill of a
 recording subprocess.
 """
@@ -153,6 +155,14 @@ class SquaresJob(Job):
         return {"evaluated": self._evaluated}
 
 
+@dataclass
+class PidJob(SquaresJob):
+    """Each row is the pid of the process that evaluated the item."""
+
+    def evaluate(self, item: int) -> int:
+        return os.getpid()
+
+
 class TestExecutorSelection:
     def test_unknown_executor_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -182,6 +192,29 @@ class TestExecutorSelection:
     def test_collect_totals_cover_every_item_once(self, executor):
         run = Engine(workers=2, executor=executor).run(SquaresJob(count=6))
         assert sum(info["evaluated"] for info in run.infos) == 6
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_fewer_than_two_workers_stay_in_process(self, executor):
+        for workers in (0, 1):
+            run = Engine(workers=workers, executor=executor).run(PidJob(count=4))
+            assert run.rows == [os.getpid()] * 4
+
+    def test_single_pending_item_stays_in_process(self):
+        run = Engine(workers=2, executor="pool").run(PidJob(count=1))
+        assert run.rows == [os.getpid()]
+
+    def test_pool_evaluates_in_worker_processes(self):
+        run = Engine(workers=2, executor="pool").run(PidJob(count=6))
+        assert os.getpid() not in run.rows
+        assert 1 <= len(set(run.rows)) <= 2
+
+    @pytest.mark.parametrize("name", ["steal", "dispatcher"])
+    def test_removed_transport_names_rejected(self, name):
+        assert EXECUTOR_NAMES == ("serial", "pool")
+        with pytest.raises(ValueError, match="expected one of serial, pool"):
+            Engine(workers=2, executor=name)
+        with pytest.raises(ValueError, match="expected one of serial, pool"):
+            make_executor(name, workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +431,95 @@ class DyingJob(SquaresJob):
 
 
 class TestPoolExecutor:
-    def test_crashed_worker_raises_instead_of_truncating(self):
+    @pytest.mark.parametrize(
+        "die_on, chunk_items",
+        [(2, None), (0, None), (5, None), (0, 1), (2, 1), (5, 1)],
+        ids=[
+            "middle-contiguous",
+            "first-contiguous",
+            "last-contiguous",
+            "first-unit",
+            "middle-unit",
+            "last-unit",
+        ],
+    )
+    def test_crashed_worker_raises_instead_of_truncating(self, die_on, chunk_items):
+        engine = Engine(workers=2, chunk_items=chunk_items, executor="pool")
         with pytest.raises(BrokenProcessPool):
-            Engine(workers=2, executor="pool").run(DyingJob(count=6))
+            engine.run(DyingJob(count=6, die_on=die_on))
+
+    @pytest.mark.parametrize("chunk_items", [None, 1], ids=["contiguous", "unit"])
+    def test_crash_leaves_a_clean_journal_that_resumes(self, chunk_items):
+        """Rows drained before the crash are journaled intact; a healthy
+        rerun on the same journal is byte-identical to a clean run."""
+        clean = Engine(workers=0).run(SquaresJob(count=6))
+        journal = MemoryCheckpoint()
+        engine = Engine(workers=2, chunk_items=chunk_items, executor="pool")
+        with pytest.raises(BrokenProcessPool):
+            engine.run(DyingJob(count=6, die_on=3), checkpoint=journal)
+        assert 3 not in journal.rows
+        for index, row in journal.rows.items():
+            assert row == clean.rows[index]
+        journaled = len(journal.rows)
+
+        resumed = engine.run(SquaresJob(count=6), checkpoint=journal)
+        assert resumed.rows == clean.rows
+        assert resumed.resumed_items == journaled
+
+    def test_engine_runs_again_after_a_crash(self):
+        engine = Engine(workers=2, executor="pool")
+        with pytest.raises(BrokenProcessPool):
+            engine.run(DyingJob(count=6))
+        serial = Engine(workers=0).run(SquaresJob(count=6))
+        assert engine.run(SquaresJob(count=6)).rows == serial.rows
+
+    def test_more_workers_than_items(self):
+        serial = Engine(workers=0).run(SquaresJob(count=3))
+        run = Engine(workers=8, executor="pool").run(SquaresJob(count=3))
+        assert run.rows == serial.rows
+        assert sum(info["evaluated"] for info in run.infos) == 3
+
+
+class TestPoolUnitChunks:
+    """``chunk_items=1``, the mode the experiment harness runs: one item per
+    task, many tasks per worker, rows still drained in enumeration order."""
+
+    def test_dse_fixture_identical(self):
+        result = SweepRunner(
+            _fixture_sweep_spec(),
+            workers=2,
+            executor=PoolExecutor(2, chunk_items=1),
+        ).run()
+        assert result.to_csv() == _fixture_text("dse_sweep.csv")
+
+    def test_plan_fixture_identical(self):
+        result = PlanRunner(
+            _fixture_plan_spec(),
+            workers=2,
+            executor=PoolExecutor(2, chunk_items=1),
+        ).run()
+        assert result.to_json() == _fixture_text("plan_sweep.json")
+
+    def test_resume_identical(self):
+        clean = Engine(workers=0).run(SquaresJob(count=10))
+        journal = MemoryCheckpoint()
+        for index in (1, 2, 8):
+            journal.append(index, clean.rows[index])
+        resumed = Engine(workers=2, chunk_items=1, executor="pool").run(
+            SquaresJob(count=10), checkpoint=journal
+        )
+        assert resumed.rows == clean.rows
+        assert resumed.resumed_items == 3
+        assert sorted(journal.rows) == list(range(10))
+
+    def test_collect_keeps_each_workers_latest_report(self):
+        """Each worker reports a cumulative count after every chunk; only
+        its last report may count, or items would be double counted."""
+        run = Engine(workers=2, chunk_items=1, executor="pool").run(
+            SquaresJob(count=8)
+        )
+        assert 1 <= len(run.infos) <= 2
+        assert sum(info["evaluated"] for info in run.infos) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +596,15 @@ class TestCliResume:
         capsys.readouterr()
         with open(csv_path) as handle:
             assert len(handle.read().splitlines()) == 5  # header + 4 points
+
+    @pytest.mark.parametrize("executor", ["steal", "dispatcher"])
+    def test_removed_executor_flag_exits_2(self, executor, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(_DSE_ARGS + ["--executor", executor])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid choice: '{executor}'" in captured.err
 
 
 class TestCliKillResume:

@@ -39,6 +39,7 @@ from repro.results import (
     config_signature,
     generate_report,
     ingest_benchmark_file,
+    ingest_benchmark_files,
     mann_whitney_u,
     payloads_in_report,
 )
@@ -123,6 +124,34 @@ class TestStore:
                 )
             }
         assert {"runs", "rows", "benchmarks"} <= names
+
+    def test_store_with_legacy_verdicts_table_still_works(self, tmp_path):
+        """A store written while regression-gate verdicts were still
+        ingested keeps that table as an orphan; it opens, records and
+        reports as before, and the report has no verdict section."""
+        path = str(tmp_path / "legacy.db")
+        with ResultStore(path):
+            pass
+        with sqlite3.connect(path) as raw:
+            raw.execute(
+                "CREATE TABLE verdicts (name TEXT NOT NULL, recorded_utc TEXT"
+                " NOT NULL, verdict TEXT NOT NULL, mode TEXT, ratio REAL, bound"
+                " REAL, skipped_reason TEXT, source TEXT,"
+                " PRIMARY KEY (name, recorded_utc))"
+            )
+            raw.execute(
+                "INSERT INTO verdicts (name, recorded_utc, verdict)"
+                " VALUES ('test_fig10_dse', '2026-08-08T13:28:03+00:00', 'pass')"
+            )
+        with ResultStore(path, create=False) as legacy:
+            with legacy.record("dse", "sig") as rec:
+                rec.add_payload([{"a": 1}], '{"a": 1}')
+            assert legacy.run_ids() == ["dse-1"]
+            report = generate_report(legacy, str(tmp_path / "report"))
+        with open(report) as handle:
+            html = handle.read()
+        assert "dse-1" in html
+        assert "Regression-gate" not in html
 
     def test_missing_db_without_create_raises(self, tmp_path):
         with pytest.raises(StoreError):
@@ -273,6 +302,58 @@ class TestIngest:
         assert point["mean_s"] > 0
         assert point["speedup"] is not None
         assert point["cpus"] >= 1
+
+    def test_bench_with_wall_clock_only_charts_mean_seconds(self, store, tmp_path):
+        """The paper-figure benchmarks record only wall-clock stats: the
+        point carries no speedup or cpus and the report charts mean seconds."""
+        bench = tmp_path / "BENCH_figures.json"
+        bench.write_text(
+            json.dumps(
+                {
+                    "datetime": "2026-10-01T09:00:00+00:00",
+                    "commit_info": {"id": "abc1234"},
+                    "benchmarks": [
+                        {
+                            "fullname": "benchmarks/test_table3_resources.py::test_table3_resources",
+                            "stats": {"mean": 0.0067, "stddev": 0.0, "rounds": 1},
+                        }
+                    ],
+                }
+            )
+        )
+        assert ingest_benchmark_file(store, str(bench)) == 1
+        (point,) = store.benchmark_trajectory(store.benchmark_names()[0])
+        assert point["mean_s"] == 0.0067
+        assert point["speedup"] is None
+        assert point["cpus"] is None
+        assert point["machine"] is None
+        report = generate_report(store, str(tmp_path / "report"))
+        with open(report) as handle:
+            html = handle.read()
+        assert "Benchmark trajectory (1 benchmarks)" in html
+        assert "mean (s) over 1 recordings" in html
+
+    def test_later_recording_extends_the_trajectory(self, store, tmp_path):
+        def write(name, recorded, mean):
+            path = tmp_path / name
+            path.write_text(
+                json.dumps(
+                    {
+                        "datetime": recorded,
+                        "benchmarks": [
+                            {"fullname": "b::fig10", "stats": {"mean": mean}}
+                        ],
+                    }
+                )
+            )
+            return str(path)
+
+        first = write("BENCH_1.json", "2026-10-01T09:00:00+00:00", 1.5)
+        second = write("BENCH_2.json", "2026-10-02T09:00:00+00:00", 1.25)
+        assert ingest_benchmark_files(store, [first, second]) == 2
+        assert store.benchmark_names() == ["b::fig10"]
+        trajectory = store.benchmark_trajectory("b::fig10")
+        assert [point["mean_s"] for point in trajectory] == [1.5, 1.25]
 
     def test_bad_bench_file_raises(self, store, tmp_path):
         bad = tmp_path / "BENCH_bad.json"
