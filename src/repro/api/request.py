@@ -18,7 +18,7 @@ every backend.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from typing import Iterable, List, Mapping, Optional, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..arch.config import ArchitectureConfig
 from ..datasets import DATASET_NAMES, load_dataset
@@ -197,19 +197,28 @@ class InferenceRequest:
         """Resolve names to concrete objects (loads the dataset, builds the model).
 
         Resolution is memoised: running the same request on several backends
-        (``--compare-baselines``, the contract tests) shares one
-        :class:`ResolvedRequest` — the dataset is generated and the model
-        built once.  Mutating a request's fields after the first ``resolve``
+        (``--compare-baselines``, the contract tests) shares one model and one
+        graph list — the dataset is generated and the model built once.  The
+        memo holds those parts, not the :class:`ResolvedRequest`, which points
+        back at the request: without that cycle, a dropped request frees its
+        graphs and model at once instead of at the next full garbage
+        collection.  Mutating a request's fields after the first ``resolve``
         is not supported.
         """
-        cached = self.__dict__.get("_resolved")
-        if cached is not None:
-            return cached
-        resolved = self._resolve()
-        self.__dict__["_resolved"] = resolved
-        return resolved
+        parts = self.__dict__.get("_resolved")
+        if parts is None:
+            parts = self.__dict__["_resolved"] = self._resolve()
+        model, graphs, dataset_name = parts
+        return ResolvedRequest(
+            model=model,
+            graphs=graphs,
+            config=self.config,
+            model_name=model.name,
+            dataset_name=dataset_name,
+            request=self,
+        )
 
-    def _resolve(self) -> ResolvedRequest:
+    def _resolve(self) -> Tuple[GNNModel, List[Graph], str]:
         graphs, dataset_name, node_dim, edge_dim = self._resolve_graphs()
         if isinstance(self.model, GNNModel):
             model = self.model
@@ -225,14 +234,7 @@ class InferenceRequest:
                 edge_input_dim=edge_dim,
                 seed=self.seed if self.seed is not None else 0,
             )
-        return ResolvedRequest(
-            model=model,
-            graphs=graphs,
-            config=self.config,
-            model_name=model.name,
-            dataset_name=dataset_name,
-            request=self,
-        )
+        return model, graphs, dataset_name
 
     def _resolve_graphs(self):
         if isinstance(self.dataset, str):

@@ -22,37 +22,40 @@ Everything is seeded: a ``LoadGenerator`` derives one independent
 seed always yields the bit-identical request sequence regardless of how
 many tenants share the cluster.
 
-Two generation modes share that seeding:
-
-* **eager** (:meth:`LoadGenerator.generate`) materialises the full merged
-  list — the historical path, kept as the streaming mode's order oracle;
-* **lazy** (:meth:`LoadGenerator.iter_requests` /
-  :meth:`LoadGenerator.iter_request_blocks`) streams the same sequence
-  without materialising it: every arrival process grows an ``iter_times``
-  that yields timestamp chunks **bit-identical** to ``times()`` (same rng
-  consumption, same cumulative-sum float operations — pinned by the serving
-  property tests), and the per-tenant streams are heap-merged on the same
-  ``(arrival, tenant index, index)`` key the eager sort uses.  Memory is
-  O(tenants x chunk), not O(requests).
+There is one path from rng to request.  Each process implements only
+``iter_times``, which yields sorted timestamp chunks of at most
+:data:`STREAM_CHUNK` values; ``times()`` is their concatenation.
+:meth:`LoadGenerator.iter_request_blocks` merges the per-tenant streams on
+the ``(arrival, tenant index, index)`` key into numpy blocks;
+:meth:`LoadGenerator.iter_requests` turns the blocks into
+:class:`ServingRequest` objects lazily, and :meth:`LoadGenerator.generate`
+is the list of them.  Memory is O(tenants x chunk), not O(requests), until
+a caller materialises the list.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .workload import Workload
 
-#: Timestamp-chunk size of the lazy per-tenant streams.  Any value yields
-#: bit-identical sequences (chunked ``Generator`` draws and carried cumsums
-#: reproduce the one-shot floats exactly); this only tunes memory/speed.
+#: Largest timestamp chunk a per-tenant stream yields, and the rows per step
+#: of :meth:`RequestBlock.requests`.  Any value yields bit-identical
+#: sequences: draws are split across ``Generator`` calls, which reproduce the
+#: same variates, and cumsums carry the running total, which replays the same
+#: float additions.  It only tunes memory and speed.
 STREAM_CHUNK = 8192
+
+#: Candidates per :class:`DiurnalArrivals` draw.  Each draw takes this many
+#: gaps and then this many acceptance uniforms from one rng, so the size is
+#: part of the sampling definition, not a tuning knob like STREAM_CHUNK.
+_DIURNAL_DRAW = 8192
 
 __all__ = [
     "ServingRequest",
@@ -92,10 +95,9 @@ class ServingRequest:
 class RequestBlock:
     """A struct-of-arrays slice of the merged request stream.
 
-    Yielded by :meth:`LoadGenerator.iter_request_blocks` for the vectorised
-    serving fast path: entries are in exact ``generate()`` order within the
-    block, and every entry of block ``k`` sorts before every entry of block
-    ``k + 1``.
+    Yielded by :meth:`LoadGenerator.iter_request_blocks`: entries are sorted
+    by ``(arrival_s, tenant_index, index)`` within the block, and every entry
+    of block ``k`` sorts before every entry of block ``k + 1``.
     """
 
     arrival_s: np.ndarray    # float64, sorted
@@ -106,28 +108,23 @@ class RequestBlock:
     def __len__(self) -> int:
         return int(self.arrival_s.size)
 
-    def requests(self, workloads: Sequence[Workload]) -> List[ServingRequest]:
-        """Materialise the block as :class:`ServingRequest` objects."""
-        out: List[ServingRequest] = []
-        for arrival, ti, idx, gi in zip(
-            self.arrival_s.tolist(),
-            self.tenant_index.tolist(),
-            self.index.tolist(),
-            self.graph_index.tolist(),
-        ):
-            w = workloads[ti]
-            out.append(
-                ServingRequest(
-                    tenant=w.tenant,
-                    tenant_index=ti,
-                    index=idx,
-                    arrival_s=arrival,
-                    graph_index=gi,
-                    deadline_s=w.deadline_s,
-                    priority=w.priority,
-                )
-            )
-        return out
+    def requests(self, workloads: Sequence[Workload]) -> Iterator[ServingRequest]:
+        """Yield the block as :class:`ServingRequest` objects, in order.
+
+        Rows are converted :data:`STREAM_CHUNK` at a time, so a block spanning
+        many tenants never exists as one list of objects.
+        """
+        meta = [(w.tenant, w.deadline_s, w.priority) for w in workloads]
+        for lo in range(0, len(self), STREAM_CHUNK):
+            hi = lo + STREAM_CHUNK
+            for arrival, ti, idx, gi in zip(
+                self.arrival_s[lo:hi].tolist(),
+                self.tenant_index[lo:hi].tolist(),
+                self.index[lo:hi].tolist(),
+                self.graph_index[lo:hi].tolist(),
+            ):
+                tenant, deadline_s, priority = meta[ti]
+                yield ServingRequest(tenant, ti, idx, arrival, gi, deadline_s, priority)
 
 
 def _check_sizing(num_requests: Optional[int], duration_s: Optional[float]) -> None:
@@ -137,14 +134,16 @@ def _check_sizing(num_requests: Optional[int], duration_s: Optional[float]) -> N
         raise ValueError("num_requests must be >= 0")
     if duration_s is not None and duration_s < 0:
         raise ValueError("duration_s must be >= 0")
+    if duration_s is not None and not math.isfinite(duration_s):
+        raise ValueError(f"duration_s must be finite, got {duration_s}")
 
 
-def _trim(times: np.ndarray, num_requests: Optional[int], duration_s: Optional[float]) -> np.ndarray:
-    if duration_s is not None:
-        times = times[times < duration_s]
-    if num_requests is not None:
-        times = times[:num_requests]
-    return np.asarray(times, dtype=np.float64)
+def _check_finite(process: "ArrivalProcess") -> None:
+    """Reject NaN and infinite float parameters of a built-in process."""
+    for field in fields(process):
+        value = getattr(process, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 class ArrivalProcess(ABC):
@@ -152,37 +151,37 @@ class ArrivalProcess(ABC):
 
     Deterministic given the ``rng``: the same generator state yields the
     same timestamps.  Stochastic processes require an ``rng``; deterministic
-    ones (constant, trace) ignore it.
+    ones (constant, trace) ignore it.  A process implements
+    :meth:`iter_times`; :meth:`times` is derived from it.
     """
 
     name: str = "abstract"
 
     @abstractmethod
-    def times(
-        self,
-        num_requests: Optional[int] = None,
-        duration_s: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """The first ``num_requests`` arrivals and/or those within ``duration_s``."""
-
     def iter_times(
         self,
         num_requests: Optional[int] = None,
         duration_s: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> Iterator[np.ndarray]:
-        """Yield the ``times()`` sequence as sorted float64 chunks.
+        """Yield the first ``num_requests`` arrivals and/or those within
+        ``duration_s``, as sorted, non-empty float64 chunks.
 
-        The concatenation of the yielded chunks must be bit-identical to
-        ``times()`` under the same rng seeding.  This base implementation
-        falls back to one eager chunk — always correct for custom processes
-        but O(n) memory; the built-ins override it with truly streaming
-        generators.
+        The built-ins yield at most :data:`STREAM_CHUNK` values per chunk,
+        and the values they yield do not depend on that size.
         """
-        times = self.times(num_requests=num_requests, duration_s=duration_s, rng=rng)
-        if times.size:
-            yield times
+
+    def times(
+        self,
+        num_requests: Optional[int] = None,
+        duration_s: Optional[float] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """All of :meth:`iter_times` as one array."""
+        chunks = list(
+            self.iter_times(num_requests=num_requests, duration_s=duration_s, rng=rng)
+        )
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -201,17 +200,7 @@ class ConstantArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if self.interval_s < 0:
             raise ValueError("interval_s must be >= 0")
-
-    def times(self, num_requests=None, duration_s=None, rng=None) -> np.ndarray:
-        _check_sizing(num_requests, duration_s)
-        if num_requests is None:
-            if self.interval_s == 0:
-                raise ValueError(
-                    "a zero-interval burst is unbounded; pass num_requests"
-                )
-            num_requests = int(math.ceil(duration_s / self.interval_s)) + 1
-        times = np.arange(num_requests) * float(self.interval_s)
-        return _trim(times, num_requests, duration_s)
+        _check_finite(self)
 
     def iter_times(self, num_requests=None, duration_s=None, rng=None):
         _check_sizing(num_requests, duration_s)
@@ -225,8 +214,8 @@ class ConstantArrivals(ArrivalProcess):
         interval = float(self.interval_s)
         for lo in range(0, total, STREAM_CHUNK):
             hi = min(lo + STREAM_CHUNK, total)
-            # Element i is always the int64 i times the float interval —
-            # the same op ``times()`` applies, so chunking is invisible.
+            # Element i is always the int64 i times the float interval, so
+            # chunking is invisible.
             chunk = np.arange(lo, hi) * interval
             if duration_s is not None:
                 chunk = chunk[chunk < duration_s]
@@ -247,67 +236,46 @@ class PoissonArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if not self.rate_rps > 0:
             raise ValueError("rate_rps must be positive")
-
-    def times(self, num_requests=None, duration_s=None, rng=None) -> np.ndarray:
-        _check_sizing(num_requests, duration_s)
-        if rng is None:
-            raise ValueError("PoissonArrivals needs an rng (it is stochastic)")
-        mean_gap = 1.0 / self.rate_rps
-        if num_requests is not None:
-            times = np.cumsum(rng.exponential(mean_gap, size=num_requests))
-        else:
-            # Sample in chunks until the horizon is crossed.
-            chunk = max(16, int(1.5 * self.rate_rps * duration_s) + 1)
-            gaps = rng.exponential(mean_gap, size=chunk)
-            times = np.cumsum(gaps)
-            while times.size and times[-1] < duration_s:
-                more = np.cumsum(rng.exponential(mean_gap, size=chunk)) + times[-1]
-                times = np.concatenate([times, more])
-        return _trim(times, num_requests, duration_s)
+        _check_finite(self)
 
     def iter_times(self, num_requests=None, duration_s=None, rng=None):
         _check_sizing(num_requests, duration_s)
         if rng is None:
             raise ValueError("PoissonArrivals needs an rng (it is stochastic)")
         mean_gap = 1.0 / self.rate_rps
+        # The sampling definition: sized by count, one draw of that many
+        # gaps; sized by a horizon alone, draws of 1.5x the expected count,
+        # each draw's cumsum offset by the previous draw's last arrival, until
+        # an arrival reaches the horizon.  Each draw is consumed STREAM_CHUNK
+        # gaps at a time: split Generator calls reproduce the same variates,
+        # and carrying the running total replays the same float additions.
         if num_requests is not None:
-            # Bit-identical to the one-shot ``cumsum(exponential(size=n))``:
-            # Generator draws split across calls reproduce the same variates,
-            # and seeding each chunk's cumsum with the previous running total
-            # replays the identical sequential float additions.
+            draw = num_requests
+        else:
+            draw = max(16, int(1.5 * self.rate_rps * duration_s) + 1)
+        offset: Optional[float] = None
+        while True:
             carry: Optional[float] = None
-            drawn = 0
-            while drawn < num_requests:
-                size = min(STREAM_CHUNK, num_requests - drawn)
-                gaps = rng.exponential(mean_gap, size=size)
+            for lo in range(0, draw, STREAM_CHUNK):
+                gaps = rng.exponential(mean_gap, size=min(STREAM_CHUNK, draw - lo))
                 if carry is None:
                     chunk = np.cumsum(gaps)
                 else:
                     chunk = np.cumsum(np.concatenate(([carry], gaps)))[1:]
                 carry = float(chunk[-1])
-                drawn += size
-                if duration_s is not None:
-                    kept = chunk[chunk < duration_s]
-                    if kept.size:
-                        yield kept
-                    if kept.size < chunk.size:
-                        return
-                else:
+                if offset is not None:
+                    chunk = chunk + offset
+                if duration_s is None:
                     yield chunk
-        else:
-            # Mirror the ``times()`` chunk loop op-for-op (whole-chunk cumsum
-            # *then* an offset add) so kept values are bit-identical.
-            chunk_size = max(16, int(1.5 * self.rate_rps * duration_s) + 1)
-            last: Optional[float] = None
-            while True:
-                gaps = rng.exponential(mean_gap, size=chunk_size)
-                chunk = np.cumsum(gaps) if last is None else np.cumsum(gaps) + last
-                last = float(chunk[-1])
+                    continue
                 kept = chunk[chunk < duration_s]
                 if kept.size:
                     yield kept
-                if last >= duration_s:
-                    return
+                if kept.size < chunk.size:
+                    return  # horizon reached; every later arrival is larger
+            if num_requests is not None:
+                return
+            offset = float(chunk[-1])
 
 
 @dataclass(frozen=True)
@@ -323,10 +291,9 @@ class DiurnalArrivals(ArrivalProcess):
 
     Sampling is exact thinning of a homogeneous Poisson process at the peak
     rate: candidates are drawn at the peak rate and kept with probability
-    ``intensity(t) / peak``.  Candidate gaps and acceptance draws are
-    consumed in fixed-size chunks by *both* paths — ``times()`` is the
-    concatenation of ``iter_times()`` — so eager and lazy generation are
-    bit-identical by construction.
+    ``intensity(t) / peak``.  Candidates come in draws of a fixed 8,192
+    gaps followed by 8,192 acceptance uniforms; the kept arrivals are then
+    yielded in chunks of at most :data:`STREAM_CHUNK`.
     """
 
     rate_rps: float
@@ -343,6 +310,7 @@ class DiurnalArrivals(ArrivalProcess):
             raise ValueError("period_s must be positive")
         if self.low < 0 or not self.high > 0 or self.low > self.high:
             raise ValueError("need 0 <= low <= high with high > 0")
+        _check_finite(self)
 
     @property
     def mean_rate_rps(self) -> float:
@@ -380,14 +348,6 @@ class DiurnalArrivals(ArrivalProcess):
         phase = times * (2.0 * math.pi / self.period_s)
         return self.low + (self.high - self.low) * 0.5 * (1.0 - np.cos(phase))
 
-    def times(self, num_requests=None, duration_s=None, rng=None) -> np.ndarray:
-        chunks = list(
-            self.iter_times(num_requests=num_requests, duration_s=duration_s, rng=rng)
-        )
-        if not chunks:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(chunks)
-
     def iter_times(self, num_requests=None, duration_s=None, rng=None):
         _check_sizing(num_requests, duration_s)
         if rng is None:
@@ -402,7 +362,7 @@ class DiurnalArrivals(ArrivalProcess):
         emitted = 0
         carry: Optional[float] = None
         while emitted < target:
-            gaps = rng.exponential(peak_gap, size=STREAM_CHUNK)
+            gaps = rng.exponential(peak_gap, size=_DIURNAL_DRAW)
             if carry is None:
                 candidates = np.cumsum(gaps)
             else:
@@ -410,7 +370,7 @@ class DiurnalArrivals(ArrivalProcess):
             carry = float(candidates[-1])
             # One uniform per candidate, drawn unconditionally, so rng
             # consumption is independent of the horizon/target cut below.
-            accept = rng.random(size=STREAM_CHUNK)
+            accept = rng.random(size=_DIURNAL_DRAW)
             kept = candidates[
                 accept * self.high < self._intensity_multiplier(candidates)
             ]
@@ -419,8 +379,8 @@ class DiurnalArrivals(ArrivalProcess):
             if num_requests is not None and emitted + kept.size > target:
                 kept = kept[: int(target) - emitted]
             emitted += int(kept.size)
-            if kept.size:
-                yield kept
+            for lo in range(0, kept.size, STREAM_CHUNK):
+                yield kept[lo : lo + STREAM_CHUNK]
             if carry >= horizon:
                 return  # horizon crossed; every later candidate is larger
 
@@ -450,39 +410,19 @@ class OnOffArrivals(ArrivalProcess):
             raise ValueError("off_rate_rps must be >= 0")
         if not self.mean_on_s > 0 or not self.mean_off_s > 0:
             raise ValueError("mean_on_s and mean_off_s must be positive")
+        _check_finite(self)
 
     @property
     def mean_rate_rps(self) -> float:
         total = self.mean_on_s + self.mean_off_s
         return (self.on_rate_rps * self.mean_on_s + self.off_rate_rps * self.mean_off_s) / total
 
-    def times(self, num_requests=None, duration_s=None, rng=None) -> np.ndarray:
-        _check_sizing(num_requests, duration_s)
-        if rng is None:
-            raise ValueError("OnOffArrivals needs an rng (it is stochastic)")
-        horizon = math.inf if duration_s is None else duration_s
-        target = math.inf if num_requests is None else num_requests
-        times: List[float] = []
-        phase_start, on = 0.0, True
-        while phase_start < horizon and len(times) < target:
-            length = rng.exponential(self.mean_on_s if on else self.mean_off_s)
-            rate = self.on_rate_rps if on else self.off_rate_rps
-            if rate > 0:
-                t = phase_start + rng.exponential(1.0 / rate)
-                while t < phase_start + length and t < horizon and len(times) < target:
-                    times.append(t)
-                    t += rng.exponential(1.0 / rate)
-            phase_start += length
-            on = not on
-        return _trim(np.array(times, dtype=np.float64), num_requests, duration_s)
-
     def iter_times(self, num_requests=None, duration_s=None, rng=None):
         _check_sizing(num_requests, duration_s)
         if rng is None:
             raise ValueError("OnOffArrivals needs an rng (it is stochastic)")
-        # The eager path is a scalar loop already; this mirrors it draw-for-
-        # draw (phase lengths, then one gap per candidate arrival) while
-        # flushing buffered timestamps every STREAM_CHUNK values.
+        # A scalar loop: one draw per phase length, then one gap per
+        # candidate arrival; buffered timestamps flush every STREAM_CHUNK.
         horizon = math.inf if duration_s is None else duration_s
         target = math.inf if num_requests is None else num_requests
         buf: List[float] = []
@@ -535,6 +475,8 @@ class TraceArrivals(ArrivalProcess):
 
     def __post_init__(self) -> None:
         times = np.asarray(list(self.timestamps), dtype=np.float64)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("trace timestamps must be finite")
         if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
             raise ValueError("trace timestamps must be sorted and non-negative")
         object.__setattr__(self, "timestamps", tuple(float(t) for t in times))
@@ -557,14 +499,9 @@ class TraceArrivals(ArrivalProcess):
             times = [t for t, name in zip(times, tenants) if name == tenant]
         return TraceArrivals(timestamps=sorted(times))
 
-    def times(self, num_requests=None, duration_s=None, rng=None) -> np.ndarray:
+    def iter_times(self, num_requests=None, duration_s=None, rng=None):
         # A recorded trace is already finite: with no sizing at all, replay
         # the whole thing (stochastic processes require a bound instead).
-        if num_requests is not None or duration_s is not None:
-            _check_sizing(num_requests, duration_s)
-        return _trim(np.array(self.timestamps, dtype=np.float64), num_requests, duration_s)
-
-    def iter_times(self, num_requests=None, duration_s=None, rng=None):
         if num_requests is not None or duration_s is not None:
             _check_sizing(num_requests, duration_s)
         emitted = 0
@@ -632,7 +569,8 @@ class LoadGenerator:
         duration_s: Optional[float] = None,
         num_requests: Optional[int] = None,
     ) -> List[ServingRequest]:
-        """The merged request sequence, sorted by arrival time.
+        """The merged request sequence, sorted by arrival time: the list of
+        :meth:`iter_requests`.
 
         ``num_requests`` is per tenant (each tenant submits at most that
         many); ``duration_s`` bounds the arrival horizon.  With neither,
@@ -640,77 +578,20 @@ class LoadGenerator:
         stochastic ones raise.  Ties are broken by tenant order then
         per-tenant sequence, so generation is fully deterministic.
         """
-        requests: List[ServingRequest] = []
-        for tenant_index, workload in enumerate(self.workloads):
-            process = self._arrivals[workload.tenant]
-            times = process.times(
-                num_requests=num_requests,
-                duration_s=duration_s,
-                rng=self.rng_for(tenant_index),
-            )
-            pool = workload.num_pool_graphs
-            for i, arrival in enumerate(times):
-                requests.append(
-                    ServingRequest(
-                        tenant=workload.tenant,
-                        tenant_index=tenant_index,
-                        index=i,
-                        arrival_s=float(arrival),
-                        graph_index=i % pool,
-                        deadline_s=workload.deadline_s,
-                        priority=workload.priority,
-                    )
-                )
-        requests.sort(key=lambda r: (r.arrival_s, r.tenant_index, r.index))
-        return requests
-
-    # -- lazy streaming: same sequence, O(tenants x chunk) memory -------------
-    def _tenant_stream(
-        self,
-        tenant_index: int,
-        workload: Workload,
-        duration_s: Optional[float],
-        num_requests: Optional[int],
-    ) -> Iterator[ServingRequest]:
-        process = self._arrivals[workload.tenant]
-        pool = workload.num_pool_graphs
-        i = 0
-        for chunk in process.iter_times(
-            num_requests=num_requests,
-            duration_s=duration_s,
-            rng=self.rng_for(tenant_index),
-        ):
-            for arrival in chunk.tolist():
-                yield ServingRequest(
-                    tenant=workload.tenant,
-                    tenant_index=tenant_index,
-                    index=i,
-                    arrival_s=arrival,
-                    graph_index=i % pool,
-                    deadline_s=workload.deadline_s,
-                    priority=workload.priority,
-                )
-                i += 1
+        return list(self.iter_requests(duration_s=duration_s, num_requests=num_requests))
 
     def iter_requests(
         self,
         duration_s: Optional[float] = None,
         num_requests: Optional[int] = None,
     ) -> Iterator[ServingRequest]:
-        """Lazily yield exactly the :meth:`generate` sequence, in order.
+        """Lazily yield the :meth:`generate` sequence, in order.
 
-        Per-tenant ``iter_times`` streams are heap-merged on the eager sort
-        key ``(arrival_s, tenant_index, index)``; because the key is unique
-        the merged order is bit-identical to ``generate()`` while holding
-        only O(tenants x chunk) timestamps in memory.
+        The requests of :meth:`iter_request_blocks`, built block by block, so
+        memory stays O(tenants x chunk).
         """
-        streams = [
-            self._tenant_stream(i, w, duration_s, num_requests)
-            for i, w in enumerate(self.workloads)
-        ]
-        return heapq.merge(
-            *streams, key=lambda r: (r.arrival_s, r.tenant_index, r.index)
-        )
+        for block in self.iter_request_blocks(duration_s=duration_s, num_requests=num_requests):
+            yield from block.requests(self.workloads)
 
     def iter_request_blocks(
         self,
@@ -719,13 +600,13 @@ class LoadGenerator:
     ) -> Iterator[RequestBlock]:
         """The merged stream as numpy :class:`RequestBlock` slices.
 
-        Block boundaries respect the global order: the window boundary is the
-        smallest buffered-last timestamp over the non-exhausted tenants, each
-        tenant is refilled until its buffer passes the boundary, and every
-        buffered entry at or below it is emitted after an
-        ``(arrival, tenant, index)`` lexsort.  That makes each block complete
-        (no later entry can sort into it) and the concatenation bit-identical
-        to :meth:`generate`.
+        This is the one merge of the per-tenant ``iter_times`` streams.  The
+        window boundary is the smallest buffered-last timestamp over the
+        non-exhausted tenants, each tenant is refilled until its buffer passes
+        the boundary, and every buffered entry at or below it is emitted after
+        an ``(arrival, tenant, index)`` lexsort.  That makes each block
+        complete (no later entry can sort into it), so the concatenated blocks
+        are the union of the streams sorted on that key.
         """
         num_tenants = len(self.workloads)
         pools = np.array([w.num_pool_graphs for w in self.workloads], dtype=np.int64)
@@ -797,8 +678,8 @@ class LoadGenerator:
     # -- conveniences: split a cluster-wide rate by tenant share --------------
     @staticmethod
     def _share_rates(workloads: Sequence[Workload], total_rate_rps: float) -> Dict[str, float]:
-        if not total_rate_rps > 0:
-            raise ValueError("total_rate_rps must be positive")
+        if not 0 < total_rate_rps < math.inf:
+            raise ValueError("total_rate_rps must be positive and finite")
         total_share = sum(w.share for w in workloads)
         return {w.tenant: total_rate_rps * w.share / total_share for w in workloads}
 

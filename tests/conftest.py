@@ -8,6 +8,7 @@ import pytest
 from repro.datasets import make_hep_like, make_molhiv_like
 from repro.graph import Graph, erdos_renyi_graph, molecule_like_graph
 from repro.nn import build_model
+from repro.serve import ServingRequest
 
 
 @pytest.fixture
@@ -76,3 +77,37 @@ def gcn_model(molhiv_sample):
     return build_model(
         "GCN", input_dim=molhiv_sample.node_feature_dim, num_layers=3, hidden_dim=32, seed=5
     )
+
+
+def _naive_merge(generator, **sizing):
+    """Each tenant's ``times()`` as requests, sorted by the order key."""
+    requests = []
+    for tenant_index, workload in enumerate(generator.workloads):
+        times = generator.arrival_process(workload.tenant).times(
+            rng=generator.rng_for(tenant_index), **sizing
+        )
+        pool = workload.num_pool_graphs
+        requests.extend(
+            ServingRequest(
+                tenant=workload.tenant,
+                tenant_index=tenant_index,
+                index=i,
+                arrival_s=arrival,
+                graph_index=i % pool,
+                deadline_s=workload.deadline_s,
+                priority=workload.priority,
+            )
+            for i, arrival in enumerate(times.tolist())
+        )
+    return sorted(requests, key=lambda r: (r.arrival_s, r.tenant_index, r.index))
+
+
+@pytest.fixture(scope="session")
+def naive_merge():
+    """The reference merge ``LoadGenerator`` must reproduce, request for request.
+
+    ``naive_merge(generator, duration_s=..., num_requests=...)`` materialises
+    every tenant's ``times()`` and sorts the union by
+    ``(arrival_s, tenant_index, index)``: no streaming, no windows, no heap.
+    """
+    return _naive_merge

@@ -6,7 +6,9 @@ backend must return a well-formed :class:`InferenceReport` for the *same*
 platform comparison rests on.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -88,6 +90,21 @@ class TestInferenceRequest:
         resolved = InferenceRequest(model=gin_model, dataset=graphs).resolve()
         assert resolved.model is gin_model
         assert resolved.graphs == graphs
+
+    def test_resolution_is_shared_and_freed_with_the_request(self):
+        """Resolving twice shares the model and graphs; dropping the request
+        frees them without waiting for the cycle collector."""
+        request = InferenceRequest(model="GIN", dataset="MolHIV", num_graphs=2)
+        first, second = request.resolve(), request.resolve()
+        assert first.model is second.model and first.graphs is second.graphs
+        assert first.request is request
+        model = weakref.ref(first.model)
+        gc.disable()
+        try:
+            del request, first, second
+            assert model() is None
+        finally:
+            gc.enable()
 
     def test_empty_graph_list_with_model_name_rejected(self):
         with pytest.raises(ValueError, match="empty graph list"):

@@ -347,6 +347,22 @@ class TestServeCommand:
         assert code == 2
         assert "unknown arrival process" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--rate", "inf"], "total_rate_rps must be positive and finite"),
+            (["--duration", "inf", "--sketch"], "duration_s must be finite"),
+        ],
+        ids=["rate-inf", "duration-inf-sketch"],
+    )
+    def test_serve_non_finite_load_exits_with_one_line(self, flags, needle, capsys):
+        """Bad load input exits 2 with one line, never a traceback."""
+        code = main(["serve", "--backend", "cpu", "--num-graphs", "2"] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot generate load:") and needle in err
+        assert err.count("\n") == 1
+
     def test_serve_bad_tenant_count_exits_with_error(self, capsys):
         assert main(["serve", "--tenants", "0"]) == 2
         assert "--tenants" in capsys.readouterr().err

