@@ -138,6 +138,16 @@ def _check_sizing(num_requests: Optional[int], duration_s: Optional[float]) -> N
         raise ValueError(f"duration_s must be finite, got {duration_s}")
 
 
+def _finite_count(count: float, rate_rps: float, duration_s: float) -> float:
+    """A horizon-sized request count, rejected when it overflows to inf."""
+    if not math.isfinite(count):
+        raise ValueError(
+            f"rate {rate_rps:g} req/s over duration {duration_s:g} s is too "
+            f"many requests to count"
+        )
+    return count
+
+
 def _check_finite(process: "ArrivalProcess") -> None:
     """Reject NaN and infinite float parameters of a built-in process."""
     for field in fields(process):
@@ -210,7 +220,10 @@ class ConstantArrivals(ArrivalProcess):
                 raise ValueError(
                     "a zero-interval burst is unbounded; pass num_requests"
                 )
-            total = int(math.ceil(duration_s / self.interval_s)) + 1
+            spans = _finite_count(
+                duration_s / self.interval_s, 1.0 / self.interval_s, duration_s
+            )
+            total = int(math.ceil(spans)) + 1
         interval = float(self.interval_s)
         for lo in range(0, total, STREAM_CHUNK):
             hi = min(lo + STREAM_CHUNK, total)
@@ -252,7 +265,10 @@ class PoissonArrivals(ArrivalProcess):
         if num_requests is not None:
             draw = num_requests
         else:
-            draw = max(16, int(1.5 * self.rate_rps * duration_s) + 1)
+            expected = _finite_count(
+                1.5 * self.rate_rps * duration_s, self.rate_rps, duration_s
+            )
+            draw = max(16, int(expected) + 1)
         offset: Optional[float] = None
         while True:
             carry: Optional[float] = None

@@ -207,29 +207,42 @@ class CarbonIntensity:
         if self.period_s is None:
             return self._integral_aperiodic(t0, t1)
         period = self.period_s
-        whole = self._integral_aperiodic(0.0, period)
         n0 = math.floor(t0 / period)
         n1 = math.floor(t1 / period)
         if n0 == n1:
             return self._integral_aperiodic(t0 - n0 * period, t1 - n0 * period)
         total = self._integral_aperiodic(t0 - n0 * period, period)
-        total += whole * (n1 - n0 - 1)
+        if n1 - n0 > 1:
+            # Skipped when no whole period lies between: it would add +0.0.
+            total += self._integral_aperiodic(0.0, period) * (n1 - n0 - 1)
         total += self._integral_aperiodic(0.0, t1 - n1 * period)
         return total
 
     def _integral_aperiodic(self, t0: float, t1: float) -> float:
-        """Segment-sum integral treating the trace as non-repeating."""
+        """Segment-sum integral treating the trace as non-repeating.
+
+        Only the segments overlapping ``[t0, t1]`` are visited: the scan
+        starts at the segment holding ``t0`` and stops at the first one
+        starting at or after ``t1``.  Every segment outside that range has
+        an empty overlap and would add nothing, so the sum is the same as a
+        scan over all of them, bit for bit.
+        """
         if t1 <= t0:
             return 0.0
         total = 0.0
         times = self.times_s
-        for i, value in enumerate(self.intensities):
+        values = self.intensities
+        last = len(times) - 1
+        first = bisect.bisect_right(times, t0) - 1
+        for i in range(first if first > 0 else 0, last + 1):
             start = times[i]
-            end = times[i + 1] if i + 1 < len(times) else math.inf
+            if start >= t1:
+                break
+            end = times[i + 1] if i < last else math.inf
             lo = t0 if t0 > start else start
             hi = t1 if t1 < end else end
             if hi > lo:
-                total += value * (hi - lo)
+                total += values[i] * (hi - lo)
         return total
 
     def integral_g_per_j(self, t0: float, t1: float) -> float:

@@ -33,13 +33,14 @@ from __future__ import annotations
 import heapq
 import math
 from abc import ABC, abstractmethod
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -800,16 +801,16 @@ class Cluster:
         vectorised FIFO fast path — see :meth:`serve_stream`.
 
         The dispatcher keeps the pending requests in policy-ordered heaps —
-        one *lane* per replica for pinned requests plus one shared lane —
-        instead of re-sorting the whole queue at every event like the
-        reference implementation
+        one *lane* per replica for pinned requests plus one shared lane,
+        each holding one heap per tenant — instead of re-sorting the whole
+        queue at every event like the reference implementation
         (:func:`repro.serve.reference.reference_serve`).  Without dynamic
-        batching a dispatch is a heap pop, O(log n); with batching the
-        selection scans (and pushes back) only as far as the batching
-        decision requires, which degrades toward the reference's full walk
-        only when no batch is releasable.  The two are bit-identical on
-        static and dynamic clusters alike; the contract tests in
-        ``tests/test_serve.py`` hold them together.
+        batching a dispatch pops the first tenant head, O(tenants + log n);
+        with batching the selection walks the tenants in head order, decides
+        from each one's queued count and pops only the batch it dispatches,
+        O(tenants + batch log n).  The two are bit-identical on static and
+        dynamic clusters alike; the contract tests in ``tests/test_serve.py``
+        hold them together.
         """
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
@@ -940,11 +941,7 @@ class Cluster:
         states = [_ACTIVE] * num_initial
         factors = [1.0] * num_initial
         busy_time = [0.0] * num_initial
-        lanes = _Lanes(
-            shared=[],
-            per_replica=[[] for _ in range(num_initial)],
-            pending=0,
-        )
+        lanes = _Lanes(num_initial)
         items: Dict[int, _QueueItem] = {}
         if exact:
             sink: Union[_ExactSink, _SketchSink] = _ExactSink()
@@ -1091,23 +1088,12 @@ class Cluster:
 
         def reroute(replica: int) -> None:
             """Hand a dead/draining replica's queued items back to the policy."""
-            lane = lanes.per_replica[replica]
-            if not lane:
-                return
-            entries = sorted(lane, key=lambda entry: entry[1])  # seq order
-            del lane[:]
-            for key, seq in entries:
-                item = items[seq]
+            for key, item in lanes.drain(replica):
                 state.queued_work[replica] -= item.service_s
                 item.replica = policy.assign(item, state)
                 if item.replica is not None:
                     state.queued_work[item.replica] += item.service_s
-                target = (
-                    lanes.shared
-                    if item.replica is None
-                    else lanes.per_replica[item.replica]
-                )
-                heapq.heappush(target, (key, seq))
+                lanes.admit(item, key)
 
         def add_replicas(now: float, count: int) -> None:
             nonlocal last_scale_up_s
@@ -1118,7 +1104,7 @@ class Cluster:
                 state.busy_until.append(0.0)
                 state.queued_work.append(0.0)
                 busy_time.append(0.0)
-                lanes.per_replica.append([])
+                lanes.add_replica()
                 if power_model is not None:
                     power_add(now, power_model.provisioning_w)
                 push_control(
@@ -1366,7 +1352,7 @@ class Cluster:
             elif saw_arrival:
                 sink.on_instant_sample(lanes.pending)
             self._dispatch(
-                now, state, lanes, items, busy_time, sink, events, scheduled_timers, factors, power_gate, power_busy
+                now, state, lanes, busy_time, sink, events, scheduled_timers, factors, power_gate, power_busy
             )
 
         if lanes.pending:
@@ -1374,13 +1360,8 @@ class Cluster:
             # heap will revive one (impossible with an autoscaler, whose
             # min_replicas >= 1 keeps ticking while work is queued).  Count
             # the leftovers as shed so conservation still holds.
-            leftover: List[int] = []
-            for lane in [lanes.shared] + lanes.per_replica:
-                leftover.extend(seq for _, seq in lane)
-                del lane[:]
-            for seq in sorted(leftover):
-                sink.on_shed(items.pop(seq).request)
-            lanes.pending = 0
+            for item in lanes.drain_all():
+                sink.on_shed(items.pop(item.seq).request)
 
         power_state = None
         if power_model is not None:
@@ -1592,7 +1573,6 @@ class Cluster:
         now: float,
         state: _SimState,
         lanes: "_Lanes",
-        items: Dict[int, _QueueItem],
         busy_time: List[float],
         sink: Union[_ExactSink, _SketchSink],
         events: List[Tuple[float, int, int]],
@@ -1618,20 +1598,19 @@ class Cluster:
                 continue
             if self.max_batch_size == 1:
                 # No batching: the head of the merged lanes is the batch,
-                # unconditionally releasable.  O(log n).
-                popped = lanes.pop_next(replica)
-                if popped is None:
+                # unconditionally releasable.
+                head = lanes.pop_first(replica)
+                if head is None:
                     continue
-                batch: Optional[List[_QueueItem]] = [items[popped[0][1]]]
+                batch: Optional[List[_QueueItem]] = [head]
                 release_at: Optional[float] = None
             else:
-                batch, release_at = self._select_batch(lanes, replica, items, now)
+                batch, release_at = self._select_batch(lanes, replica, now)
             if batch is None:
                 if release_at is not None and release_at not in scheduled_timers:
                     scheduled_timers.add(release_at)
                     heapq.heappush(events, (release_at, _TIMER, replica))
                 continue
-            lanes.pending -= len(batch)
             for item in batch:
                 if item.replica is not None:
                     state.queued_work[item.replica] -= item.service_s
@@ -1675,117 +1654,191 @@ class Cluster:
                 )
 
     def _select_batch(
-        self, lanes: "_Lanes", replica: int, items: Dict[int, _QueueItem], now: float
+        self, lanes: "_Lanes", replica: int, now: float
     ) -> Tuple[Optional[List[_QueueItem]], Optional[float]]:
         """The batch a free replica should start at ``now``, or when to retry.
 
-        Scans the replica's merged lanes in policy order, popping entries
-        into a buffer only as far as the decision requires: tenants are
-        considered in first-appearance order, each owning the first
-        ``max_batch_size`` of its requests, and the first tenant whose batch
-        is *releasable* (full, or its oldest member has waited out the
-        batching timeout) wins — so a held batch never blocks another
-        tenant's ready work.  Everything scanned but not dispatched is
-        pushed back.  Returns ``(batch, None)`` or
-        ``(None, earliest release time)`` exactly like the reference
-        implementation's full-sort walk.
+        Walks the replica's tenants in first-appearance (policy) order, each
+        owning the first ``max_batch_size`` of its requests, and the first
+        tenant whose batch is *releasable* wins — so a held batch never
+        blocks another tenant's ready work.  The queued count decides: a
+        tenant with a full batch (or any batch, when the timeout is 0) wins
+        outright; one with fewer queued wins once its oldest member has
+        waited out the batching timeout.  Only the winning batch is popped,
+        so a decision costs O(tenants + batch log n).  Returns
+        ``(batch, None)`` or ``(None, earliest release time)`` exactly like
+        the reference implementation's full-sort walk.
         """
         max_batch = self.max_batch_size
         timeout = self.batch_timeout_s
-        scanned: List[Tuple[Tuple, List]] = []   # (entry, source lane)
-        order: List[str] = []                    # tenants, first-appearance order
-        groups: Dict[str, List[_QueueItem]] = {}
-        exhausted = False
-        while True:
-            winner: Optional[str] = None
-            undecided = False
-            for tenant in order:
-                group = groups[tenant]
-                if len(group) < max_batch and not exhausted:
-                    # This tenant's batch may still grow; its releasability
-                    # (and exact membership) is not yet decided, and no later
-                    # tenant may be dispatched over it.
-                    undecided = True
-                    break
-                oldest = min(item.request.arrival_s for item in group)
-                if (
-                    len(group) >= max_batch
-                    or timeout == 0.0
-                    or now >= oldest + timeout
-                ):
-                    winner = tenant
-                    break
-            if winner is not None:
-                batch = groups[winner]
-                chosen = {item.seq for item in batch}
-                for entry, lane in scanned:
-                    if entry[1] not in chosen:
-                        heapq.heappush(lane, entry)
-                return batch, None
-            if exhausted and not undecided:
-                if not order:
-                    return None, None
-                earliest: Optional[float] = None
-                for tenant in order:
-                    release = (
-                        min(item.request.arrival_s for item in groups[tenant])
-                        + timeout
-                    )
-                    if earliest is None or release < earliest:
-                        earliest = release
-                for entry, lane in scanned:
-                    heapq.heappush(lane, entry)
-                return None, earliest
-            popped = lanes.pop_next(replica)
-            if popped is None:
-                exhausted = True
-                continue
-            entry, lane = popped
-            scanned.append((entry, lane))
-            item = items[entry[1]]
-            tenant = item.request.tenant
-            group = groups.get(tenant)
-            if group is None:
-                order.append(tenant)
-                groups[tenant] = group = []
-            if len(group) < max_batch:
-                group.append(item)
+        earliest: Optional[float] = None
+        for tenant, queued in lanes.tenants(replica):
+            if queued >= max_batch or timeout == 0.0:
+                return lanes.take(replica, tenant, max_batch), None
+            release = lanes.oldest_arrival(replica, tenant) + timeout
+            if now >= release:
+                return lanes.take(replica, tenant, queued), None
+            if earliest is None or release < earliest:
+                earliest = release
+        return None, earliest
 
 
-@dataclass
-class _Lanes:
-    """Policy-ordered heaps of pending requests: one per replica + shared.
+class _Lane:
+    """One lane's pending requests: a policy-ordered heap per tenant.
 
-    A pinned request lives in its replica's lane; unpinned requests share
-    one lane every replica merges with its own.  ``pending`` counts queued
-    requests across all lanes (the admission-control bound and queue-depth
-    trace read it).
+    Entries are ``(key, item)`` with ``key = order_key + (seq,)``, unique,
+    so entries compare by key alone.  ``heads`` is the sorted list of
+    ``(head key, tenant)`` over the non-empty heaps, so walking it visits
+    the lane's tenants in first-appearance (policy) order.  A tenant's heap
+    stays in ``heaps`` once empty, sparing the dict churn on batch-1 runs.
     """
 
-    shared: List[Tuple[Tuple, int]]
-    per_replica: List[List[Tuple[Tuple, int]]]
-    pending: int = 0
+    __slots__ = ("heaps", "heads")
+
+    def __init__(self) -> None:
+        self.heaps: Dict[str, List[Tuple[Tuple, _QueueItem]]] = {}
+        self.heads: List[Tuple[Tuple, str]] = []
+
+    def _unlink(self, tenant: str, heap: List[Tuple[Tuple, _QueueItem]]) -> None:
+        """Drop the tenant's (non-empty) heap from ``heads``."""
+        heads = self.heads
+        if heads[0][1] == tenant:
+            del heads[0]
+        else:
+            del heads[bisect_left(heads, (heap[0][0], tenant))]
+
+    def drain(self) -> List[Tuple[Tuple, _QueueItem]]:
+        """Remove and return every entry, in no particular order."""
+        entries = [entry for heap in self.heaps.values() for entry in heap]
+        self.heaps.clear()
+        del self.heads[:]
+        return entries
+
+
+class _Lanes:
+    """Pending requests in policy-ordered lanes: one per replica + shared.
+
+    A pinned request lives in its replica's lane; unpinned requests share
+    one lane every replica merges with its own.  Within a lane each tenant
+    has its own heap (:class:`_Lane`), so batch selection reads a tenant's
+    queued count off its heap and pops exactly the batch it dispatches.
+    ``pending`` counts queued requests across all lanes (the
+    admission-control bound and queue-depth trace read it); every method
+    that adds or removes an entry keeps it current.
+    """
+
+    __slots__ = ("shared", "per_replica", "pending")
+
+    def __init__(self, num_replicas: int) -> None:
+        self.shared = _Lane()
+        self.per_replica = [_Lane() for _ in range(num_replicas)]
+        self.pending = 0
+
+    def add_replica(self) -> None:
+        self.per_replica.append(_Lane())
 
     def admit(self, item: _QueueItem, key: Tuple) -> None:
         lane = self.shared if item.replica is None else self.per_replica[item.replica]
-        heapq.heappush(lane, (key, item.seq))
         self.pending += 1
+        tenant = item.request.tenant
+        heap = lane.heaps.get(tenant)
+        if heap is None:
+            heap = lane.heaps[tenant] = []
+        elif heap:
+            if heap[0][0] < key:  # not a new head: `heads` is unchanged
+                heapq.heappush(heap, (key, item))
+                return
+            lane._unlink(tenant, heap)
+        heapq.heappush(heap, (key, item))
+        insort(lane.heads, (key, tenant))
 
-    def pop_next(self, replica: int) -> Optional[Tuple[Tuple[Tuple, int], List]]:
-        """Pop the policy-first entry among this replica's two lanes.
+    def pop_first(self, replica: int) -> Optional[_QueueItem]:
+        """Pop the policy-first request of the replica's merged view, if any.
 
-        Returns ``(entry, source_lane)`` so scanned-but-undispatched entries
-        can be pushed back, or ``None`` when both lanes are empty.  Does not
-        touch ``pending``: the caller owns the dispatch accounting.
+        That request is the first head of one of the two lanes, so the pop
+        takes ``heads[0]`` without a search.
         """
         own = self.per_replica[replica]
         shared = self.shared
-        if own and shared:
-            lane = own if own[0] < shared[0] else shared
-        elif own:
+        if own.heads and (not shared.heads or own.heads[0] < shared.heads[0]):
             lane = own
-        elif shared:
+        elif shared.heads:
             lane = shared
         else:
             return None
-        return heapq.heappop(lane), lane
+        self.pending -= 1
+        heads = lane.heads
+        tenant = heads.pop(0)[1]
+        heap = lane.heaps[tenant]
+        item = heapq.heappop(heap)[1]
+        if heap:
+            insort(heads, (heap[0][0], tenant))
+        return item
+
+    def tenants(self, replica: int) -> Iterator[Tuple[str, int]]:
+        """``(tenant, queued)`` over the replica's merged view, each tenant
+        once, in first-appearance order."""
+        own = self.per_replica[replica]
+        shared = self.shared
+        if own.heads and shared.heads:
+            seen = set()
+            for _, tenant in heapq.merge(own.heads, shared.heads):
+                if tenant not in seen:
+                    seen.add(tenant)
+                    yield tenant, len(own.heaps.get(tenant, ())) + len(
+                        shared.heaps.get(tenant, ())
+                    )
+            return
+        lane = own if own.heads else shared
+        heaps = lane.heaps
+        for _, tenant in lane.heads:
+            yield tenant, len(heaps[tenant])
+
+    def oldest_arrival(self, replica: int, tenant: str) -> float:
+        """Earliest arrival among the tenant's requests the replica sees."""
+        own = self.per_replica[replica].heaps.get(tenant)
+        shared = self.shared.heaps.get(tenant)
+        entries = own + shared if own and shared else own or shared
+        return min([item.request.arrival_s for _, item in entries])
+
+    def take(self, replica: int, tenant: str, limit: int) -> List[_QueueItem]:
+        """Pop the tenant's first ``limit`` requests (fewer if it has fewer)
+        from the replica's merged view, in policy order."""
+        sources = []
+        for lane in (self.per_replica[replica], self.shared):
+            heap = lane.heaps.get(tenant)
+            if heap:
+                lane._unlink(tenant, heap)
+                sources.append((lane, heap))
+        if len(sources) == 1:
+            heap = sources[0][1]
+            batch = [heapq.heappop(heap)[1] for _ in range(min(limit, len(heap)))]
+        else:
+            a, b = sources[0][1], sources[1][1]
+            batch = []
+            while len(batch) < limit and (a or b):
+                source = a if a and (not b or a[0] < b[0]) else b
+                batch.append(heapq.heappop(source)[1])
+        for lane, heap in sources:
+            if heap:
+                insort(lane.heads, (heap[0][0], tenant))
+        self.pending -= len(batch)
+        return batch
+
+    def drain(self, replica: int) -> List[Tuple[Tuple, _QueueItem]]:
+        """Remove the replica's own lane, as ``(key, item)`` in seq order."""
+        entries = self.per_replica[replica].drain()
+        entries.sort(key=lambda entry: entry[1].seq)
+        self.pending -= len(entries)
+        return entries
+
+    def drain_all(self) -> List[_QueueItem]:
+        """Remove every queued request, in seq order."""
+        items = [
+            item
+            for lane in [self.shared] + self.per_replica
+            for _, item in lane.drain()
+        ]
+        items.sort(key=lambda item: item.seq)
+        self.pending = 0
+        return items

@@ -363,6 +363,18 @@ class TestServeCommand:
         assert err.startswith("cannot generate load:") and needle in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("arrival", ["poisson", "constant"])
+    def test_serve_horizon_sized_overflow_exits_with_one_line(self, arrival, capsys):
+        """A rate x duration whose request count overflows exits 2, no traceback."""
+        code = main(
+            ["serve", "--backend", "cpu", "--num-graphs", "2", "--arrival", arrival,
+             "--rate", "1e300", "--duration", "1e10", "--sketch"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot generate load:") and "1e+10 s" in err
+        assert err.count("\n") == 1
+
     def test_serve_bad_tenant_count_exits_with_error(self, capsys):
         assert main(["serve", "--tenants", "0"]) == 2
         assert "--tenants" in capsys.readouterr().err

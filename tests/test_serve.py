@@ -15,7 +15,9 @@ from repro.graph import GraphStream
 from repro.serve import (
     Cluster,
     ConstantArrivals,
+    DispatchPolicy,
     DiurnalArrivals,
+    FaultSchedule,
     LoadGenerator,
     OnOffArrivals,
     PoissonArrivals,
@@ -242,6 +244,16 @@ class TestArrivalProcesses:
             TraceArrivals(timestamps=[1e-3]).times(duration_s=duration_s)
         with pytest.raises(ValueError, match="duration_s must be finite"):
             LoadGenerator.poisson(two_tenants, 1000.0).generate(duration_s=duration_s)
+
+    @pytest.mark.parametrize(
+        "process",
+        [PoissonArrivals(1e300), ConstantArrivals(1e-300)],
+        ids=["poisson", "constant"],
+    )
+    def test_horizon_sized_count_must_be_finite(self, process):
+        """A rate x duration overflowing the request count is a ValueError."""
+        with pytest.raises(ValueError, match="too many requests"):
+            process.times(duration_s=1e10, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
     def test_total_rate_must_be_positive_and_finite(self, rate, two_tenants):
@@ -704,7 +716,7 @@ def test_serve_dispatcher_bit_identical_on_deep_queue():
 
 
 def test_serve_dispatcher_bit_identical_with_batching():
-    """Dynamic batching exercises the scan-and-push-back dispatch path."""
+    """Dynamic batching exercises the per-tenant batch selection path."""
     cluster, requests = _overload_scenario()
     batched = cluster.with_options(max_batch_size=4, batch_timeout_s=100e-6)
     # The oracle is quadratic and batching makes it scan tenants too, so
@@ -713,3 +725,113 @@ def test_serve_dispatcher_bit_identical_with_batching():
     fast = batched.serve(subset)
     assert_reports_identical(fast, reference_serve(batched, subset))
     assert fast.mean_batch_size > 1.0, "batching never engaged in the scenario"
+
+
+# ---------------------------------------------------------------------------
+# One tenant queued both pinned and shared: the two-lane merge
+# ---------------------------------------------------------------------------
+class _SplitLanePolicy(DispatchPolicy):
+    """Pins odd-``seq`` requests to a live replica and leaves even ones shared.
+
+    The key ``(graph_index, -priority)`` is not monotone within a tenant, so
+    a new arrival often becomes its tenant's head in a lane.
+    """
+
+    name = "split_lane"
+
+    def assign(self, item, state):
+        live = state.live
+        if item.seq % 2 == 0 or not live:
+            return None
+        return live[(item.seq // 2) % len(live)]
+
+    def order_key(self, item):
+        return (item.request.graph_index, -item.request.priority)
+
+
+@pytest.fixture
+def six_tenants(molhiv_sample, hep_sample):
+    models = ("GCN", "GIN", "GAT")
+    return [
+        Workload(
+            f"t{i}",
+            model=models[i % 3],
+            dataset=molhiv_sample if i % 2 else hep_sample,
+            deadline_s=1e-3 * (1 + i % 3),
+            priority=i % 3,
+        )
+        for i in range(6)
+    ]
+
+
+def _assert_sketch_counts_match(cluster, requests, exact):
+    sketch = cluster.serve(requests, mode="sketch")
+    assert (sketch.submitted, sketch.completed, sketch.dropped, sketch.shed) == (
+        exact.submitted,
+        exact.completed,
+        exact.dropped,
+        exact.shed,
+    )
+    assert sketch.max_queue_depth == exact.max_queue_depth
+    np.testing.assert_array_equal(
+        sketch.per_replica_utilisation, exact.per_replica_utilisation
+    )
+    for name, outcome in exact.tenants.items():
+        assert sketch.tenants[name].completed == outcome.completed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "max_batch, timeout_s, capacity",
+    [(1, 0.0, None), (4, 0.0, None), (4, 100e-6, None), (3, 50e-6, 40), (8, 200e-6, None)],
+)
+def test_two_lane_merge_matches_reference(six_tenants, max_batch, timeout_s, capacity, seed):
+    """Tenants queued in a replica's own lane and the shared lane at once."""
+    cluster = Cluster(
+        six_tenants,
+        backend="cpu",
+        num_replicas=3,
+        policy=_SplitLanePolicy(),
+        max_batch_size=max_batch,
+        batch_timeout_s=timeout_s,
+        queue_capacity=capacity,
+    )
+    rate = 1.2 * cluster.num_replicas / cluster.mean_service_s()
+    requests = LoadGenerator.bursty(six_tenants, rate, seed=seed).generate(
+        num_requests=40
+    )
+    exact = cluster.serve(requests)
+    assert_reports_identical(exact, reference_serve(cluster, requests))
+    _assert_sketch_counts_match(cluster, requests, exact)
+
+
+def test_two_lane_merge_when_every_replica_fails_and_recovers(six_tenants):
+    """Arrivals while no replica is live queue shared; later ones are pinned.
+
+    Three whole-pool outages, each followed by staggered recoveries, so a
+    recovered replica serves its pinned lane and the shared backlog at once.
+    """
+    base = Cluster(
+        six_tenants,
+        backend="cpu",
+        num_replicas=3,
+        policy="least_loaded",
+        max_batch_size=4,
+        batch_timeout_s=100e-6,
+    )
+    mean = base.mean_service_s()
+    events = ";".join(
+        f"fail@{(10 + 30 * c) * mean}:r{r};recover@{(20 + 30 * c + 4 * r) * mean}:r{r}"
+        for c in range(3)
+        for r in range(3)
+    )
+    cluster = base.with_options(faults=FaultSchedule.parse(events, num_replicas=3))
+    rate = 1.2 * cluster.num_replicas / mean
+    requests = LoadGenerator.bursty(six_tenants, rate, seed=0).generate(
+        num_requests=60
+    )
+    exact = cluster.serve(requests)
+    assert exact.event_counts["failures"] == 9 and exact.event_counts["recoveries"] == 9
+    assert exact.mean_batch_size > 1.0, "batching never engaged in the scenario"
+    assert_reports_identical(exact, reference_serve(cluster, requests))
+    _assert_sketch_counts_match(cluster, requests, exact)

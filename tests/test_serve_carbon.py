@@ -462,6 +462,105 @@ class TestCarbonIntensity:
 
 
 # ---------------------------------------------------------------------------
+# The overlap-only integrator against the full-scan one it replaced
+# ---------------------------------------------------------------------------
+def _full_scan_integral(self, t0: float, t1: float) -> float:
+    """The integrator as it was before the overlap-only scan, verbatim
+    (bar the call to its own aperiodic helper): the oracle below."""
+    if t1 <= t0:
+        return 0.0
+    if self.period_s is None:
+        return _full_scan_aperiodic(self, t0, t1)
+    period = self.period_s
+    whole = _full_scan_aperiodic(self, 0.0, period)
+    n0 = math.floor(t0 / period)
+    n1 = math.floor(t1 / period)
+    if n0 == n1:
+        return _full_scan_aperiodic(self, t0 - n0 * period, t1 - n0 * period)
+    total = _full_scan_aperiodic(self, t0 - n0 * period, period)
+    total += whole * (n1 - n0 - 1)
+    total += _full_scan_aperiodic(self, 0.0, t1 - n1 * period)
+    return total
+
+
+def _full_scan_aperiodic(self, t0: float, t1: float) -> float:
+    """Segment-sum integral treating the trace as non-repeating."""
+    if t1 <= t0:
+        return 0.0
+    total = 0.0
+    times = self.times_s
+    for i, value in enumerate(self.intensities):
+        start = times[i]
+        end = times[i + 1] if i + 1 < len(times) else math.inf
+        lo = t0 if t0 > start else start
+        hi = t1 if t1 < end else end
+        if hi > lo:
+            total += value * (hi - lo)
+    return total
+
+
+def _random_traces(rng, tmp_path):
+    """Periodic, aperiodic, constant and CSV-replayed traces."""
+    traces = [
+        CarbonIntensity.diurnal(period_s=0.02),
+        CarbonIntensity.diurnal(low=0.0, high=900.0, period_s=86400.0, steps=7),
+        CarbonIntensity.constant(420.0),
+        CarbonIntensity.constant(0.0),
+    ]
+    for period in (None, "periodic"):
+        for segments in (1, 2, 5, 24):
+            times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 3.0, segments - 1))))
+            values = rng.uniform(0.0, 800.0, segments)
+            values[rng.random(segments) < 0.2] = 0.0
+            period_s = None if period is None else times[-1] + rng.uniform(0.01, 2.0)
+            traces.append(CarbonIntensity(tuple(times), tuple(values), period_s=period_s))
+    path = tmp_path / "grid.csv"
+    path.write_text(
+        "time_s,intensity\n"
+        + "".join(f"{3600 * h},{rng.uniform(50, 700):.1f}\n" for h in range(24))
+    )
+    traces.append(CarbonIntensity.from_csv(str(path)))
+    traces.append(CarbonIntensity.from_csv(str(path), period_s=86400.0))
+    return traces
+
+
+def _intervals(trace, rng):
+    """Reversed/empty, in-segment, boundary-crossing, whole-period, many-period,
+    one-ulp and random intervals over ``trace``."""
+    times = trace.times_s
+    span = trace.period_s if trace.period_s is not None else times[-1] + 1.0
+    out = [(1.0, 0.5), (0.3, 0.3), (0.0, 0.0), (-1.0, -2.0)]
+    for i, start in enumerate(times):
+        end = times[i + 1] if i + 1 < len(times) else span
+        out.append((start, end))
+        out.append((start + 0.25 * (end - start), start + 0.75 * (end - start)))
+        out.append((start - 0.1 * span, end + 0.1 * span))
+        out.append((start, math.nextafter(start, math.inf)))
+    if trace.period_s is not None:
+        period = trace.period_s
+        for k0, k1 in ((0, 1), (1, 2), (0, 3), (2, 5), (0, 1000), (7, 7 + 4096)):
+            out.append((k0 * period, k1 * period))
+            out.append((k0 * period + 0.3 * period, k1 * period + 0.6 * period))
+    for _ in range(150):
+        t0 = rng.uniform(0.0, 5.0 * span)
+        t1 = t0 + rng.exponential(span) * rng.choice([1e-6, 0.1, 1.0, 30.0])
+        out.append((t0, t1))
+        out.append((t0, math.nextafter(t0, math.inf)))
+    return out
+
+
+def test_overlap_only_integral_is_bit_identical_to_full_scan(tmp_path):
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for trace in _random_traces(rng, tmp_path):
+        for t0, t1 in _intervals(trace, rng):
+            fast = trace.integral(t0, t1)
+            assert fast.hex() == _full_scan_integral(trace, t0, t1).hex(), (trace, t0, t1)
+            checked += 1
+    assert checked > 4000
+
+
+# ---------------------------------------------------------------------------
 # PowerModel grammar and admission spec parsing
 # ---------------------------------------------------------------------------
 class TestPowerModel:
