@@ -684,6 +684,8 @@ class LoadGenerator:
             index = np.concatenate(parts_index)
             order = np.lexsort((index, tenant, arrival))
             arrival, tenant, index = arrival[order], tenant[order], index[order]
+            # Hold nothing but the block's own arrays across the yield.
+            del parts_arrival, parts_tenant, parts_index, order
             yield RequestBlock(
                 arrival_s=arrival,
                 tenant_index=tenant,

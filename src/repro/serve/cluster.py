@@ -835,12 +835,13 @@ class Cluster:
         configuration permits — ``round_robin`` dispatch, no batching, an
         unbounded queue — the simulation runs the vectorised FIFO fast path
         over :meth:`LoadGenerator.iter_request_blocks` instead of the scalar
-        event loop; both produce the same report (counts, drops and
-        utilisation bit-identical to the exact oracle, percentiles within
-        the sketch tolerance).  Otherwise the lazy stream goes through the
-        event loop exactly as ``serve(generator.iter_requests(...),
-        mode="sketch")`` would.  ``mode="exact"`` materialises the sequence
-        and runs the array-backed oracle path.
+        event loop; the two reports differ only in the summation order of
+        the service, latency and energy totals (counts, drops and
+        utilisation are bit-identical to the exact oracle, percentiles
+        within the sketch tolerance).  Otherwise the lazy stream goes
+        through the event loop exactly as ``serve(generator.iter_requests(
+        ...), mode="sketch")`` would.  ``mode="exact"`` materialises the
+        sequence and runs the array-backed oracle path.
         """
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
@@ -1428,13 +1429,16 @@ class Cluster:
         Under round-robin pinning with no batching and no admission control,
         the event loop collapses to per-replica FIFO recurrences: request
         ``k`` (global arrival order) runs on replica ``k % R`` and starts at
-        ``max(arrival, previous finish)``.  Everything else — service/energy
-        lookups, end-to-end latencies, deadline misses, queue depths — is
-        numpy over :meth:`LoadGenerator.iter_request_blocks`.  The start/
-        finish recurrence stays a scalar loop on purpose: it replays the
-        exact event loop's float operations (branch-max, one add per
-        request, one subtract into busy time), keeping utilisation
-        bit-identical to the oracle.
+        ``max(arrival, previous finish)``.  The recurrence stays a scalar
+        loop over each replica's strided rows on purpose: it replays the
+        event loop's branch-max and start + service add, and busy time is
+        each replica's sequential sum of ``finish - start``, so utilisation
+        is bit-identical to the oracle.
+
+        Each block is then grouped by tenant once (a stable ``argsort``), and
+        :meth:`LatencySketch.observe_groups` folds every tenant's contiguous
+        rows into its sketch: each float total is one ``.sum()`` over the
+        tenant's rows in block order, everything else is order-free.
 
         Queue depths replicate the exact trace's definition.  Cluster level:
         depth after the admissions of arrival instant ``t`` is
@@ -1456,13 +1460,10 @@ class Cluster:
         width = max(pool_sizes) if pool_sizes else 1
         lat_lut = np.zeros((num_tenants, width), dtype=np.float64)
         energy_lut = np.zeros((num_tenants, width), dtype=np.float64)
-        deadlines = np.full(num_tenants, np.inf, dtype=np.float64)
-        for t, (workload, service) in enumerate(zip(workloads, services)):
+        for t, service in enumerate(services):
             base = service.base_batch_size
             lat_lut[t, : pool_sizes[t]] = service.latencies_s(base)
             energy_lut[t, : pool_sizes[t]] = service.energies_j(base)
-            if workload.deadline_s is not None:
-                deadlines[t] = workload.deadline_s
 
         sink = _SketchSink(self, items=None)
         sketches = [sink.sketches[w.tenant] for w in workloads]
@@ -1484,74 +1485,94 @@ class Cluster:
             if not n:
                 continue
             served_any = True
+            # A block can hold ~0.5M rows, so each block-sized temporary is
+            # deleted as soon as it has been used.
             arrival = block.arrival_s
             tenant_idx = block.tenant_index
             service_s = lat_lut[tenant_idx, block.graph_index]
-            energy_j = energy_lut[tenant_idx, block.graph_index]
-            replica = (replica_offset + np.arange(n, dtype=np.int64)) % num_replicas
-            replica_offset = (replica_offset + n) % num_replicas
 
             # Per-replica FIFO recurrence — scalar on purpose (see above).
+            # Replica r runs rows (r - replica_offset) % R, then every R-th.
             starts = np.empty(n, dtype=np.float64)
-            finishes = np.empty(n, dtype=np.float64)
+            served = np.zeros((num_tenants, num_replicas), dtype=bool)
             for r in range(num_replicas):
-                rows = np.nonzero(replica == r)[0]
-                if not rows.size:
-                    continue
+                rows = slice((r - replica_offset) % num_replicas, None, num_replicas)
                 prev = prev_finish[r]
-                busy = busy_time[r]
                 start_list: List[float] = []
-                finish_list: List[float] = []
+                append = start_list.append
                 for a, s in zip(arrival[rows].tolist(), service_s[rows].tolist()):
                     start = a if a >= prev else prev
                     prev = start + s
-                    busy += prev - start
-                    start_list.append(start)
-                    finish_list.append(prev)
+                    append(start)
                 starts[rows] = start_list
-                finishes[rows] = finish_list
                 prev_finish[r] = prev
-                busy_time[r] = busy
-
-            latency = finishes - arrival
+                served[tenant_idx[rows], r] = True
+            finishes = starts + service_s
+            # Busy time: column r of the grid is replica r's total so far,
+            # then its finish - start terms in order (gaps hold +0.0), so one
+            # cumsum down the columns adds exactly what the event loop adds.
+            grid = np.zeros((2 + (replica_offset + n - 1) // num_replicas, num_replicas))
+            grid[0] = busy_time
+            lead = num_replicas + replica_offset
+            np.subtract(finishes, starts, out=grid.reshape(-1)[lead : lead + n])
+            busy_time = np.cumsum(grid, axis=0)[-1].tolist()
+            del grid
+            replica_offset = (replica_offset + n) % num_replicas
 
             # Cluster queue depth at each distinct arrival instant.
-            start_pool = np.sort(np.concatenate([start_carry, starts]))
-            before = starts_counted + np.searchsorted(start_pool, arrival, side="left")
-            depths = (total_arrived + np.arange(1, n + 1)) - before
+            start_pool = np.concatenate([start_carry, starts])
+            del starts
+            start_pool.sort()
+            before = start_pool.searchsorted(arrival, side="left")
+            depths = (total_arrived - starts_counted + np.arange(1, n + 1)) - before
             last_of_instant = np.empty(n, dtype=bool)
             last_of_instant[-1] = True
             np.not_equal(arrival[1:], arrival[:-1], out=last_of_instant[:-1])
             sink.queue_hist.update_many(depths[last_of_instant].astype(np.float64))
-            consumed = int(np.searchsorted(start_pool, arrival[-1], side="left"))
+            consumed = int(before[-1])
+            del before, depths, last_of_instant
             starts_counted += consumed
-            start_carry = start_pool[consumed:]
+            start_carry = start_pool[consumed:].copy()
+            del start_pool
             total_arrived += n
             sink.batch_hist.update_many(np.ones(n))
 
-            # Per-tenant aggregation.
-            for t in np.unique(tenant_idx):
-                rows = np.nonzero(tenant_idx == t)[0]
-                k = rows.size
-                arr_t = arrival[rows]
-                fin_t = finishes[rows]
-                sketches[t].observe_block(
-                    latencies_s=latency[rows],
-                    services_s=service_s[rows],
-                    energies_j=energy_j[rows],
-                    replicas=replica[rows],
-                )
-                # depth_i = i - #{completions <= arrival_i}; completions of
-                # this block's own (and later) requests finish strictly
-                # after their arrivals, so pooling them in is harmless.
-                pool = np.sort(np.concatenate([qd_carry[t], fin_t]))
-                done = qd_counted[t] + np.searchsorted(pool, arr_t, side="right")
-                depth_t = (qd_arrived[t] + np.arange(k)) - done
-                sketches[t].queue.update_many(depth_t.astype(np.float64))
-                consumed_t = int(np.searchsorted(pool, arr_t[-1], side="right"))
-                qd_counted[t] += consumed_t
-                qd_carry[t] = pool[consumed_t:]
-                qd_arrived[t] += k
+            # Group the block by tenant: rows bounds[t]:bounds[t + 1] of each
+            # column are tenant t's, in block order.
+            order = np.argsort(tenant_idx, kind="stable")
+            bounds = np.zeros(num_tenants + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tenant_idx, minlength=num_tenants), out=bounds[1:])
+            finish_col = finishes[order]
+            del finishes
+            arrival_col = arrival[order]
+            # depth_i = i - #{completions <= arrival_i}; completions of this
+            # block's own (and later) requests finish strictly after their
+            # arrivals, so pooling them in is harmless.
+            queue_col = np.empty(n, dtype=np.int64)
+            edges = bounds.tolist()
+            for t in range(num_tenants):
+                lo, hi = edges[t], edges[t + 1]
+                if lo == hi:
+                    continue
+                pool = np.concatenate([qd_carry[t], finish_col[lo:hi]])
+                pool.sort()
+                done = pool.searchsorted(arrival_col[lo:hi], side="right")
+                base = qd_arrived[t] - qd_counted[t]
+                queue_col[lo:hi] = np.arange(base, base + hi - lo) - done
+                consumed = int(done[-1])
+                qd_counted[t] += consumed
+                qd_carry[t] = pool[consumed:].copy()
+                qd_arrived[t] += hi - lo
+            latency_col = np.subtract(finish_col, arrival_col, out=finish_col)
+            del arrival_col
+            service_col = service_s[order]
+            del service_s
+            energy_col = energy_lut[tenant_idx, block.graph_index][order]
+            del order
+            LatencySketch.observe_groups(
+                sketches, bounds, latency_col, service_col, energy_col, served, queue_col
+            )
+            del latency_col, finish_col, service_col, energy_col, queue_col
 
         if served_any:
             sink.max_completion_s = max(prev_finish)

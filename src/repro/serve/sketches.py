@@ -5,7 +5,7 @@ statistic from it afterwards; at datacenter scale that array *is* the memory
 bound.  This module provides the O(1)-memory replacements:
 
 * :class:`StreamingMoments` — count / sum (mean) / min / max, exactly.  The
-  chunked update sums each chunk with ``np.sum`` so a single ``update_many``
+  chunked update sums each chunk with ``.sum()`` so a single ``update_many``
   call reproduces numpy's reduction bit for bit (the property tests pin
   this); across chunks only summation order differs.
 * :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, 1985): one
@@ -45,6 +45,7 @@ Accuracy contract (pinned by ``tests/test_serve_sketches.py``):
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,10 +83,12 @@ class StreamingMoments:
         values = np.asarray(values, dtype=np.float64)
         if not values.size:
             return
-        self.count += int(values.size)
-        self.total += float(np.sum(values))
-        low = float(np.min(values))
-        high = float(np.max(values))
+        self.merge(int(values.size), float(values.sum()), float(values.min()), float(values.max()))
+
+    def merge(self, count: int, total: float, low: float, high: float) -> None:
+        """Fold in ``count`` samples summing to ``total`` with extrema ``low``/``high``."""
+        self.count += count
+        self.total += total
         if low < self.min:
             self.min = low
         if high > self.max:
@@ -353,9 +356,12 @@ class StreamingHistogram:
         values = np.asarray(values, dtype=np.float64)
         if not values.size:
             return
-        buckets = np.searchsorted(self.edges, values, side="right")
-        self.counts += np.bincount(buckets, minlength=self.counts.size)
+        self._count(values)
         self.moments.update_many(values)
+
+    def _count(self, values: np.ndarray) -> None:
+        buckets = self.edges.searchsorted(values, side="right")
+        self.counts += np.bincount(buckets, minlength=self.counts.size)
 
     @property
     def count(self) -> int:
@@ -445,31 +451,71 @@ class LatencySketch:
             if abs(latency_s - deadline) > 1e-9 * abs(deadline):
                 self.deadline_misses += 1
 
-    def observe_block(
-        self,
+    @staticmethod
+    def observe_groups(
+        sketches: Sequence["LatencySketch"],
+        bounds: Sequence[int],
         latencies_s: np.ndarray,
         services_s: np.ndarray,
         energies_j: np.ndarray,
-        replicas: np.ndarray,
-        batch_sizes: Optional[np.ndarray] = None,
+        served: np.ndarray,
+        queue_depths: np.ndarray,
     ) -> None:
-        """A vectorised block of completed requests (the FIFO fast path)."""
-        if not latencies_s.size:
+        """Batch-1 completions of many sketches at once (the FIFO fast path).
+
+        The columns are grouped: rows ``bounds[g]:bounds[g + 1]`` belong to
+        ``sketches[g]``, in the order it saw them.  ``served[g, r]`` says
+        whether replica ``r`` served any of them, and ``queue_depths`` holds
+        each row's (integer) queue depth at its arrival.  Counts, extrema, buckets,
+        deadline misses, replica sets and the integer queue moments are
+        what observing the rows one by one gives.  Each float total is one
+        ``.sum()`` of the group's contiguous rows, as
+        :meth:`StreamingMoments.update_many` adds it.
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        sizes = np.diff(bounds)
+        present = np.flatnonzero(sizes)
+        if not present.size:
             return
-        self.service.update_many(services_s)
-        self.latency.update_many(latencies_s)
-        self.quantiles.update_many(latencies_s)
-        self.energy_j_total += float(np.sum(energies_j))
-        self.replicas.update(int(r) for r in np.unique(replicas))
-        if batch_sizes is None:
-            self.batch.update_many(np.ones(latencies_s.size))
-        else:
-            self.batch.update_many(np.asarray(batch_sizes, dtype=np.float64))
-        deadline = self.deadline_s
-        if deadline is not None:
-            over = latencies_s > deadline
-            close = np.abs(latencies_s - deadline) <= 1e-9 * abs(deadline)
-            self.deadline_misses += int(np.sum(over & ~close))
+        firsts = bounds[present]
+        lat_low = np.minimum.reduceat(latencies_s, firsts).tolist()
+        lat_high = np.maximum.reduceat(latencies_s, firsts).tolist()
+        svc_low = np.minimum.reduceat(services_s, firsts).tolist()
+        svc_high = np.maximum.reduceat(services_s, firsts).tolist()
+        misses = [0] * present.size
+        deadlines = np.array(
+            [math.nan if s.deadline_s is None else s.deadline_s for s in sketches],
+            dtype=np.float64,
+        )
+        if not np.isnan(deadlines).all():
+            # The float-tolerant predicate of observe(), row by row.
+            per_row = np.repeat(deadlines, sizes)
+            over = latencies_s > per_row
+            tolerance = np.repeat(1e-9 * np.abs(deadlines), sizes)
+            np.subtract(latencies_s, per_row, out=per_row)
+            over &= ~(np.abs(per_row, out=per_row) <= tolerance)
+            del per_row, tolerance
+            misses = np.add.reduceat(over, firsts, dtype=np.int64).tolist()
+        queue_total = np.add.reduceat(queue_depths, firsts).tolist()
+        queue_low = np.minimum.reduceat(queue_depths, firsts).tolist()
+        queue_high = np.maximum.reduceat(queue_depths, firsts).tolist()
+        served_rows = served.tolist()
+        edges = bounds.tolist()
+        for j, g in enumerate(present.tolist()):
+            sketch = sketches[g]
+            lo, hi = edges[g], edges[g + 1]
+            count = hi - lo
+            latencies = latencies_s[lo:hi]
+            sketch.service.merge(count, float(services_s[lo:hi].sum()), svc_low[j], svc_high[j])
+            latency_total = float(latencies.sum())
+            sketch.latency.merge(count, latency_total, lat_low[j], lat_high[j])
+            sketch.quantiles.moments.merge(count, latency_total, lat_low[j], lat_high[j])
+            sketch.quantiles._count(latencies)
+            sketch.energy_j_total += float(energies_j[lo:hi].sum())
+            sketch.replicas.update(compress(range(len(served_rows[g])), served_rows[g]))
+            sketch.batch.merge(count, float(count), 1.0, 1.0)
+            sketch.deadline_misses += misses[j]
+            sketch.queue.merge(count, float(queue_total[j]), float(queue_low[j]), float(queue_high[j]))
 
     def p50_s(self) -> float:
         return self.quantiles.quantile(0.5)

@@ -226,8 +226,15 @@ class TestStreamingHistogram:
 # ---------------------------------------------------------------------------
 # LatencySketch: the per-tenant aggregate
 # ---------------------------------------------------------------------------
+def _observe_one_group(sketch, latencies, services, energies, replicas):
+    """The grouped fast-path update with ``sketch`` as its only group."""
+    served = np.bincount(replicas, minlength=1)[None, :] > 0
+    depths = np.zeros(latencies.size, dtype=np.int64)
+    LatencySketch.observe_groups([sketch], [0, latencies.size], latencies, services, energies, served, depths)
+
+
 class TestLatencySketch:
-    def test_observe_matches_observe_block(self):
+    def test_observe_matches_observe_groups(self):
         latencies = _sample("bimodal", 3, 500) * 1e-3
         services = latencies * 0.5
         energies = np.full(500, 1e-4)
@@ -242,7 +249,7 @@ class TestLatencySketch:
                 replica=int(replicas[i]),
                 batch_size=1,
             )
-        block.observe_block(latencies, services, energies, replicas)
+        _observe_one_group(block, latencies, services, energies, replicas)
         assert scalar.completed == block.completed == 500
         assert scalar.latency.max == block.latency.max
         assert scalar.deadline_misses == block.deadline_misses
@@ -252,6 +259,52 @@ class TestLatencySketch:
         )
         assert scalar.p99_s() == block.p99_s()
         assert np.isclose(scalar.energy_j_total, block.energy_j_total, rtol=1e-12)
+
+    def test_observe_groups_matches_per_group_updates(self):
+        """Several groups, one of them empty: order-free state equals
+        observing row by row, and each float total equals ``update_many``
+        on the group's rows."""
+        rng = np.random.default_rng(11)
+        sizes = [40, 0, 1, 300]
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        n = int(bounds[-1])
+        latencies = _sample("bimodal", 4, n) * 1e-3
+        # Two rows land exactly on (and within 1e-9 of) group 3's deadline.
+        latencies[bounds[3]] = 2e-3
+        latencies[bounds[3] + 1] = 2e-3 * (1 + 1e-12)
+        services = rng.uniform(1e-4, 1e-3, n)
+        energies = rng.uniform(0.0, 1e-3, n)
+        replicas = rng.integers(0, 4, n)
+        depths = rng.integers(0, 50, n)
+        deadlines = [1e-3, 1e-3, None, 2e-3]
+        grouped = [LatencySketch(deadline_s=d) for d in deadlines]
+        served = np.zeros((len(sizes), 4), dtype=bool)
+        for g in range(len(sizes)):
+            served[g, replicas[bounds[g] : bounds[g + 1]]] = True
+        LatencySketch.observe_groups(grouped, bounds, latencies, services, energies, served, depths)
+        for g, sketch in enumerate(grouped):
+            rows = slice(bounds[g], bounds[g + 1])
+            rowwise = LatencySketch(deadline_s=deadlines[g])
+            for i in range(bounds[g], bounds[g + 1]):
+                rowwise.observe(latencies[i], services[i], energies[i], int(replicas[i]), 1)
+                rowwise.queue.update(float(depths[i]))
+            assert sketch.completed == rowwise.completed == sizes[g]
+            assert sketch.deadline_misses == rowwise.deadline_misses
+            assert sketch.replicas == rowwise.replicas
+            np.testing.assert_array_equal(sketch.quantiles.counts, rowwise.quantiles.counts)
+            for name in ("service", "latency", "batch", "queue"):
+                a, b = getattr(sketch, name), getattr(rowwise, name)
+                assert (a.count, a.min, a.max) == (b.count, b.min, b.max), name
+            assert sketch.batch.total == rowwise.batch.total
+            assert sketch.queue.total == rowwise.queue.total
+            for name, column in (("service", services), ("latency", latencies)):
+                reference = StreamingMoments()
+                reference.update_many(column[rows])
+                assert getattr(sketch, name).total.hex() == reference.total.hex(), name
+            assert sketch.quantiles.moments.total == sketch.latency.total
+            expected_energy = float(energies[rows].sum()) if sizes[g] else 0.0
+            assert sketch.energy_j_total.hex() == expected_energy.hex()
+        assert grouped[3].deadline_misses > 0
 
     def test_deadline_predicate_matches_stream_statistics(self):
         """Bit-for-bit the same miss count as the exact-mode oracle."""
@@ -267,7 +320,8 @@ class TestLatencySketch:
             deadline_s=deadline,
         )
         sketch = LatencySketch(deadline_s=deadline)
-        sketch.observe_block(
+        _observe_one_group(
+            sketch,
             latencies,
             np.full(64, 1e-4),
             np.zeros(64),
@@ -284,14 +338,16 @@ class TestLatencySketch:
 
     def test_memory_constant_in_request_count(self):
         sketch = LatencySketch()
-        sketch.observe_block(
+        _observe_one_group(
+            sketch,
             _sample("lognormal", 0, 100) * 1e-3,
             np.full(100, 1e-4),
             np.zeros(100),
             np.zeros(100, dtype=int),
         )
         before = sketch_nbytes(sketch)
-        sketch.observe_block(
+        _observe_one_group(
+            sketch,
             _sample("lognormal", 1, 50_000) * 1e-3,
             np.full(50_000, 1e-4),
             np.zeros(50_000),

@@ -1,6 +1,6 @@
 """Streaming load generation and serving vs. their references.
 
-Three contracts:
+Four contracts:
 
 * **arrival streams** — every built-in process's ``times()`` matches golden
   digests recorded from the eager implementation
@@ -9,6 +9,9 @@ Three contracts:
   ``generate()`` matches its recorded digests, and ``generate()``,
   ``iter_requests()`` and ``iter_request_blocks()`` all equal a naive merge
   (each tenant's ``times()``, sorted by ``(arrival, tenant, index)``);
+* **the streaming fast path** — ``serve_stream``'s vectorised FIFO path at
+  7-, 64- and 8,192-row chunks matches digests of its report and of every
+  tenant sketch's floats (``.hex()``), counts and replica sets;
 * **sketch-mode reports** — on the full policy x options contract matrix,
   counts, drops, utilisation, max queue depth, deadline misses and maxima
   are identical to exact mode; means match to float-sum reassociation
@@ -17,8 +20,9 @@ Three contracts:
   exactly as many bytes as a 5k-request one, and a million-request,
   100-tenant replay's report exactly as many as its 1%-sized run.
 
-The golden digests pin the sampling definition.  Regenerate them only when
-that definition changes on purpose, from the repo root::
+The golden digests pin the sampling definition and the fast path's
+arithmetic.  Regenerate them only when either changes on purpose, from the
+repo root::
 
     PYTHONPATH=src python tests/test_serve_streaming.py
 """
@@ -27,7 +31,9 @@ import functools
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,6 +168,92 @@ def _golden_workloads():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _fast_path_cluster():
+    """30 tenants with pools of 2-4 graphs; every third one is best effort."""
+    pools = [make_molhiv_like(num_graphs=n, seed=s) for n, s in ((2, 1), (3, 2), (4, 3))]
+    return Cluster(
+        [
+            Workload(
+                f"t{i:02d}",
+                model=("GIN" if i % 2 else "GCN"),
+                dataset=pools[i % 3],
+                deadline_s=None if i % 3 == 0 else (4e-3, 8e-3, 16e-3)[i % 4 % 3],
+                share=1.0 + (i % 4) * 0.5,
+            )
+            for i in range(30)
+        ],
+        backend="cpu",
+    )
+
+
+#: (tenants, replicas, arrivals, sizing, load, chunk): the generator serves
+#: the listed tenants of :func:`_fast_path_cluster` at ``load`` x pool
+#: capacity, in ``STREAM_CHUNK = chunk`` pieces.  Seven-row chunks give many
+#: blocks, with tenants absent from some of them; the larger chunks give
+#: tenant slices long enough for numpy's pairwise sums to differ from
+#: sequential ones.
+SERVE_STREAM_CASES = {
+    "t1-r1-poisson-n300": ((0,), 1, "poisson", {"num_requests": 300}, 0.9, 7),
+    "t1-r2-bursty-d": ((1,), 2, "bursty", {"duration_s": 0.4}, 1.2, 7),
+    "t2-r1-diurnal-n150": ((1, 2), 1, "diurnal", {"num_requests": 150}, 1.1, 7),
+    "t3-r3-poisson-d": ((0, 1, 2), 3, "poisson", {"duration_s": 0.2}, 0.95, 7),
+    "t5-r4-bursty-n60-besteffort": ((0, 3, 6, 9, 12), 4, "bursty", {"num_requests": 60}, 1.0, 7),
+    "t7-r8-diurnal-n40-d": (tuple(range(7)), 8, "diurnal", {"num_requests": 40, "duration_s": 0.05}, 0.9, 7),
+    "t12-r2-poisson-n30-overload": (tuple(range(12)), 2, "poisson", {"num_requests": 30}, 1.4, 7),
+    "t12-r5-bursty-d": (tuple(range(0, 24, 2)), 5, "bursty", {"duration_s": 0.06}, 0.8, 7),
+    "t30-r8-poisson-n40": (tuple(range(30)), 8, "poisson", {"num_requests": 40}, 0.9, 7),
+    "t30-r7-bursty-n30": (tuple(range(30)), 7, "bursty", {"num_requests": 30}, 1.05, 7),
+    "t30-r6-diurnal-d": (tuple(range(30)), 6, "diurnal", {"duration_s": 0.04}, 1.0, 7),
+    "t30-r1-poisson-d-light": (tuple(range(30)), 1, "poisson", {"duration_s": 0.3}, 0.3, 7),
+    "t3-r2-poisson-n2000-chunk8192": ((0, 1, 2), 2, "poisson", {"num_requests": 2000}, 0.95, 8192),
+    "t12-r5-diurnal-d-chunk8192": (tuple(range(12)), 5, "diurnal", {"duration_s": 0.5}, 1.0, 8192),
+    "t30-r8-bursty-n150-chunk64": (tuple(range(30)), 8, "bursty", {"num_requests": 150}, 1.1, 64),
+    "t1-r3-poisson-d-chunk64": ((2,), 3, "poisson", {"duration_s": 1.0}, 0.8, 64),
+}
+
+
+def _moments_fingerprint(moments) -> tuple:
+    return (moments.count, moments.total.hex(), moments.min.hex(), moments.max.hex())
+
+
+def _sketch_fingerprint(sketch) -> tuple:
+    """Every float of a tenant's sketch as ``.hex()``, plus its counters."""
+    return (
+        _moments_fingerprint(sketch.service),
+        _moments_fingerprint(sketch.latency),
+        _moments_fingerprint(sketch.quantiles.moments),
+        sketch.quantiles.counts.tolist(),
+        sketch.energy_j_total.hex(),
+        sketch.deadline_misses,
+        sorted(sketch.replicas),
+        _moments_fingerprint(sketch.batch),
+        _moments_fingerprint(sketch.queue),
+    )
+
+
+def _digest_serve_stream(case) -> str:
+    """Digest of one fast-path run: its report and every tenant sketch."""
+    tenants, replicas, kind, sizing, load, chunk = SERVE_STREAM_CASES[case]
+    cluster = _fast_path_cluster().with_options(num_replicas=replicas)
+    assert cluster._fast_path_eligible()
+    workloads = [cluster.workloads[i] for i in tenants]
+    rate = load * replicas / cluster.mean_service_s()
+    seed = list(SERVE_STREAM_CASES).index(case)
+    generator = getattr(LoadGenerator, kind)(workloads, rate, seed=seed)
+    with mock.patch("repro.serve.arrivals.STREAM_CHUNK", chunk):
+        report = cluster.serve_stream(generator, **sizing)
+    payload = {
+        "report": report.to_dict(),
+        "sketches": {
+            name: _sketch_fingerprint(outcome.report.sketch)
+            for name, outcome in report.tenants.items()
+        },
+    }
+    data = json.dumps(payload, sort_keys=True).encode()
+    return f"submitted={report.submitted} sha256={hashlib.sha256(data).hexdigest()}"
+
+
 def _write_trace_csv(directory) -> str:
     """The trace stamps, written out of order (``LoadGenerator.trace`` sorts)."""
     path = Path(directory) / "trace.csv"
@@ -216,7 +308,8 @@ def golden_digests(trace_csv: str) -> dict:
     for case in GENERATE_CASES:
         generator, sizing = _generate_case(case, trace_csv)
         generate[case] = _outcome(lambda: _digest_requests(generator.generate(**sizing)))
-    return {"times": times, "generate": generate}
+    serve_stream = {case: _digest_serve_stream(case) for case in SERVE_STREAM_CASES}
+    return {"times": times, "generate": generate, "serve_stream": serve_stream}
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +418,43 @@ class TestRequestMerge:
             if k:
                 assert _key(block, 0) > _key(blocks[k - 1], -1)
             flat += len(block)
+
+    def test_request_blocks_hold_no_merge_temporaries_across_yield(self):
+        """While a consumer holds a block, the merge keeps only its arrival
+        buffers (about four float64 per row on a Poisson stream), not the
+        tenant/index pieces and sort order it built the block from (three
+        int64 per row more)."""
+        workloads = [Workload("solo", model="GCN", dataset=make_molhiv_like(num_graphs=3, seed=1))]
+        generator = LoadGenerator(workloads, PoissonArrivals(1000.0), seed=0)
+        chunk = 8192
+        sizing = {"num_requests": 4 * chunk}
+        with mock.patch("repro.serve.arrivals.STREAM_CHUNK", chunk):
+            for _ in generator.iter_request_blocks(**sizing):  # warm-up pass
+                pass
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                held = []
+                for block in generator.iter_request_blocks(**sizing):
+                    assert len(block) == chunk
+                    own = sum(
+                        column.nbytes
+                        for column in (
+                            block.arrival_s, block.tenant_index, block.index, block.graph_index
+                        )
+                    )
+                    held.append(tracemalloc.get_traced_memory()[0] - base - own)
+            finally:
+                tracemalloc.stop()
+        assert max(held) < 5 * 8 * chunk, held
+
+
+class TestFastPathDigests:
+    @pytest.mark.parametrize("case", sorted(SERVE_STREAM_CASES))
+    def test_serve_stream_matches_golden_digest(self, golden, case):
+        """The vectorised FIFO fast path, bit for bit: report, every sketch
+        float, histogram counts, queue moments and replica sets."""
+        assert _digest_serve_stream(case) == golden["serve_stream"][case]
 
 
 # ---------------------------------------------------------------------------
