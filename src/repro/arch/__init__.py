@@ -16,6 +16,7 @@ from .mp_unit import MPTiming, MPUnit, mp_timing
 from .adapter import MulticastAdapter, MulticastRoute
 from .pipeline import LayerTiming, schedule_layer
 from .simulator import (
+    ModelProfile,
     SimulationResult,
     graph_loading_cycles,
     simulate_inference,
@@ -56,6 +57,7 @@ __all__ = [
     "MulticastRoute",
     "LayerTiming",
     "schedule_layer",
+    "ModelProfile",
     "SimulationResult",
     "graph_loading_cycles",
     "simulate_inference",

@@ -25,10 +25,11 @@ knobs (used by the DSE bench), not to predict Vivado to the percent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Union
 
 from ..nn.models.base import GNNModel
 from .config import ArchitectureConfig
+from .simulator import ModelProfile
 
 __all__ = ["ResourceEstimate", "ALVEO_U50", "TABLE3_REFERENCE", "estimate_resources"]
 
@@ -101,13 +102,17 @@ def _buffer_brams(entries: int, width: int, banks: int) -> int:
 
 
 def estimate_resources(
-    model: GNNModel,
+    model: Union[GNNModel, ModelProfile],
     config: ArchitectureConfig,
     max_nodes: int = 512,
     max_edges: int = 4096,
 ) -> ResourceEstimate:
-    """Estimate DSP/LUT/FF/BRAM usage of ``model`` compiled under ``config``."""
-    specs = model.layer_specs()
+    """Estimate DSP/LUT/FF/BRAM usage of ``model`` compiled under ``config``.
+
+    ``model`` is a :class:`~repro.nn.models.base.GNNModel` or its
+    :class:`~repro.arch.ModelProfile`.
+    """
+    specs = ModelProfile.of(model).layer_specs
     max_out = max(spec.out_dim for spec in specs)
     max_in = max(
         max(shape[0] for shape in spec.nt_linear_shapes) for spec in specs
@@ -145,7 +150,7 @@ def estimate_resources(
     # and the per-MP-unit data queues.
     bram = _buffer_brams(max_nodes, max_out, num_nt)
     bram += 2 * _buffer_brams(max_nodes, max_agg, num_mp)
-    edge_width = max_msg if model.uses_edge_features() else 2
+    edge_width = max_msg if any(spec.uses_edge_features for spec in specs) else 2
     bram += _buffer_brams(max_edges, edge_width, num_mp)
     bram += num_mp * max(config.node_queue_depth // 8, 1)
 

@@ -29,7 +29,7 @@ from ..arch.accelerator import FlowGNNAccelerator, StreamResult
 from ..arch.config import ArchitectureConfig
 from ..arch.energy import estimate_energy
 from ..arch.resources import estimate_resources
-from ..arch.simulator import simulate_inference, weight_loading_cycles
+from ..arch.simulator import ModelProfile, simulate_inference, weight_loading_cycles
 from ..datasets import load_dataset
 from ..engine import (
     CheckpointSlice,
@@ -101,30 +101,33 @@ class SweepResult(ResultTable):
 # Per-point evaluation (runs in workers)
 # ---------------------------------------------------------------------------
 def _evaluate_config(
-    model: GNNModel,
+    profile: ModelProfile,
     model_name: str,
     dataset_name: str,
     graphs: List[Graph],
+    timing_graphs: List[Graph],
     config: ArchitectureConfig,
     cache: Optional[ScheduleCache],
 ) -> Dict:
     """Simulate every graph under ``config`` and aggregate one result row."""
     schedule_fn = cache.bind(config) if cache is not None else None
     results = [
-        simulate_inference(model, graph, config, schedule_fn=schedule_fn)
-        for graph in graphs
+        simulate_inference(
+            profile, graph, config, schedule_fn=schedule_fn, timing_graph=timing_graph
+        )
+        for graph, timing_graph in zip(graphs, timing_graphs)
     ]
     # Aggregate through StreamResult itself so engine rows are identical to
     # FlowGNNAccelerator.run_stream by construction, not by parallel code.
     stream = StreamResult(
         per_graph_results=results,
-        weight_loading_cycles=weight_loading_cycles(model, config),
+        weight_loading_cycles=weight_loading_cycles(profile, config),
         config=config,
     )
     latency_ms = stream.mean_latency_ms
     total_cycles = stream.total_cycles
 
-    resources = estimate_resources(model, config)
+    resources = estimate_resources(profile, config)
     energy = estimate_energy(results[0], resources)
     row = {"model": model_name, "dataset": dataset_name}
     row.update(_config_knobs(config))
@@ -149,8 +152,11 @@ class SweepJob(Job):
     """One (model, dataset) group of a FlowGNN sweep as an engine job.
 
     The model and graphs are job fields, so the engine pickles them once per
-    worker; each worker builds its own :class:`ScheduleCache` in ``setup``
-    and reports its hit statistics through ``collect``.
+    worker.  Each worker's ``setup`` builds its own :class:`ScheduleCache`
+    (hit statistics come back through ``collect``) and derives, once, what
+    the cycle and resource models read from the model and the graphs: the
+    model's :class:`~repro.arch.ModelProfile` and each graph's timing graph.
+    A point then pays only for what its configuration changes.
     """
 
     model: GNNModel
@@ -168,13 +174,16 @@ class SweepJob(Job):
         self._cache = (
             ScheduleCache(use_fast_path=self.use_fast_path) if self.use_cache else None
         )
+        self._profile = ModelProfile.of(self.model)
+        self._timing_graphs = [self._profile.timing_graph(graph) for graph in self.graphs]
 
     def evaluate(self, config: ArchitectureConfig) -> Dict:
         return _evaluate_config(
-            self.model,
+            self._profile,
             self.model_name,
             self.dataset_name,
             self.graphs,
+            self._timing_graphs,
             config,
             self._cache,
         )
@@ -388,9 +397,10 @@ class SweepRunner:
         board = self.spec.board
         if board is None:
             return configs
+        profile = ModelProfile.of(model)
         feasible: List[ArchitectureConfig] = []
         for config in configs:
-            estimate = estimate_resources(model, config)
+            estimate = estimate_resources(profile, config)
             if estimate.fits(board):
                 feasible.append(config)
             else:

@@ -29,7 +29,10 @@ def _as_int_array(values: Iterable[int], name: str) -> np.ndarray:
         raise GraphValidationError(
             f"{name} must have shape (num_edges, 2); got {array.shape}"
         )
-    return array.reshape(-1, 2)
+    # Contiguous rows: a transposed ``(2, E)`` input would otherwise keep its
+    # strides, and byte-level consumers (the schedule cache's signature) need
+    # the row-major layout.  Contiguous inputs pass through uncopied.
+    return np.ascontiguousarray(array.reshape(-1, 2))
 
 
 def _as_feature_matrix(values, rows: int, name: str) -> Optional[np.ndarray]:
@@ -77,7 +80,10 @@ class Graph:
     edge_features: Optional[np.ndarray] = None
     graph_label: Optional[np.ndarray] = None
     name: str = ""
-    _degree_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # Values derived from the structure (degrees, the schedule cache's
+    # signature and bank layouts).  Not an init field, so
+    # ``dataclasses.replace`` starts the copy with an empty cache.
+    _degree_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         edge_index = _as_int_array(self.edge_index, "edge_index")

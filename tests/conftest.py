@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import make_hep_like, make_molhiv_like
 from repro.graph import Graph, erdos_renyi_graph, molecule_like_graph
 from repro.nn import build_model
 from repro.serve import ServingRequest
+
+
+# The nightly CI run selects this with ``--hypothesis-profile=nightly`` for
+# the generated scheduler differential (tests/test_dse.py): fresh random
+# examples, and far more of them than tier-1's derandomised sample.
+settings.register_profile("nightly", max_examples=20_000, deadline=None, print_blob=True)
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ import pytest
 from repro.arch import (
     ArchitectureConfig,
     FlowGNNAccelerator,
+    ModelProfile,
     SimulationResult,
+    estimate_resources,
     graph_loading_cycles,
     simulate_inference,
     weight_loading_cycles,
@@ -146,6 +148,15 @@ class TestSimulationResult:
         result = simulate_inference(model, molhiv_sample[0])
         assert result.total_cycles > 0
         assert 0.0 < result.latency_ms < 10.0  # sane magnitude for a 25-node molecule
+
+        # The profile stands in for the model wherever only timing is read.
+        profile = ModelProfile.of(model)
+        timing_graph = profile.timing_graph(molhiv_sample[0])
+        assert simulate_inference(profile, molhiv_sample[0], timing_graph=timing_graph) == result
+        config = ArchitectureConfig()
+        assert estimate_resources(profile, config) == estimate_resources(model, config)
+        with pytest.raises(TypeError, match="functional"):
+            simulate_inference(profile, molhiv_sample[0], functional=True)
 
     def test_parallelism_monotonicity(self, gcn_model, molhiv_sample):
         """The DSE premise: adding lanes or units never increases latency."""
