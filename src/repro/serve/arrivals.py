@@ -368,6 +368,8 @@ class DiurnalArrivals(ArrivalProcess):
         _check_sizing(num_requests, duration_s)
         if rng is None:
             raise ValueError("DiurnalArrivals needs an rng (it is stochastic)")
+        if num_requests is None:
+            _finite_count(self.rate_rps * duration_s, self.rate_rps, duration_s)
         # Normalise so the time-averaged rate is rate_rps: the cosine's mean
         # multiplier is (low + high) / 2, so candidates run at
         # rate_rps * high / mean and survive with probability mult / high.
@@ -437,6 +439,9 @@ class OnOffArrivals(ArrivalProcess):
         _check_sizing(num_requests, duration_s)
         if rng is None:
             raise ValueError("OnOffArrivals needs an rng (it is stochastic)")
+        if num_requests is None:
+            mean_rate = self.mean_rate_rps
+            _finite_count(mean_rate * duration_s, mean_rate, duration_s)
         # A scalar loop: one draw per phase length, then one gap per
         # candidate arrival; buffered timestamps flush every STREAM_CHUNK.
         horizon = math.inf if duration_s is None else duration_s

@@ -198,6 +198,10 @@ class _QueueItem:
     seq: int                        # global arrival order
     service_s: float                # batch-1 service time (backlog estimates)
     replica: Optional[int] = None   # pinned replica, None = any
+    # ``(release instant, 0, release count)`` once a carbon hold queues the
+    # request late (see ``_Lanes.drain``).  A plain class attribute, not a
+    # field, so the requests queued at arrival carry nothing for it.
+    late = None
 
 
 class DispatchPolicy(ABC):
@@ -269,14 +273,22 @@ class LeastLoadedPolicy(DispatchPolicy):
     name = "least_loaded"
 
     def assign(self, item: _QueueItem, state: "_SimState") -> Optional[int]:
-        live = state.live
-        if not live:
-            return None
-        backlog = [
-            max(state.busy_until[r] - state.now, 0.0) + state.queued_work[r]
-            for r in live
-        ]
-        return int(live[int(np.argmin(backlog))])
+        # The first replica with the smallest backlog, as np.argmin would
+        # pick it, without building an array per arrival.
+        busy_until = state.busy_until
+        queued_work = state.queued_work
+        now = state.now
+        best: Optional[int] = None
+        best_backlog = 0.0
+        for r in state.live:
+            backlog = busy_until[r] - now
+            if backlog < 0.0:
+                backlog = 0.0
+            backlog += queued_work[r]
+            if best is None or backlog < best_backlog:
+                best = r
+                best_backlog = backlog
+        return best
 
     def order_key(self, item: _QueueItem) -> Tuple:
         return ()
@@ -808,9 +820,13 @@ class Cluster:
         batching a dispatch pops the first tenant head, O(tenants + log n);
         with batching the selection walks the tenants in head order, decides
         from each one's queued count and pops only the batch it dispatches,
-        O(tenants + batch log n).  The two are bit-identical on static and
-        dynamic clusters alike; the contract tests in ``tests/test_serve.py``
-        hold them together.
+        O(tenants + batch log n).  A decision is paid for only when its
+        answer can differ from the last one: a free replica with both lanes
+        empty is skipped in O(1), and one whose last selection released
+        nothing is not re-decided until one of its two lanes changes or the
+        release time that selection computed arrives.  The two are
+        bit-identical on static and dynamic clusters alike; the contract
+        tests in ``tests/test_serve.py`` hold them together.
         """
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
@@ -1041,9 +1057,11 @@ class Cluster:
         # (absolute deadline, seq); each hold schedules its own release
         # control at min(deadline - headroom x service, next clean window).
         held: List[Tuple[float, int]] = []
+        late_admissions = 0
 
         def release_held(now: float) -> None:
             """Queue every held request that is due or whose grid is clean."""
+            nonlocal late_admissions
             clean = (
                 carbon_trace.intensity_at(now) <= admission.carbon_threshold
             )
@@ -1063,6 +1081,8 @@ class Cluster:
                         item.replica = policy.assign(item, state)
                         if item.replica is not None:
                             state.queued_work[item.replica] += item.service_s
+                        item.late = (now, 0, late_admissions)
+                        late_admissions += 1
                         lanes.admit(item, policy.order_key(item) + (item.seq,))
                 else:
                     kept.append((deadline, seq))
@@ -1272,7 +1292,7 @@ class Cluster:
         while events:
             now = events[0][0]
             state.now = now
-            saw_arrival = False
+            admitting = False
             # Drain every event at this instant before dispatching, so a
             # policy sees simultaneous arrivals together (e.g. EDF must pick
             # the tightest deadline of a burst, not whichever the heap pops
@@ -1281,7 +1301,7 @@ class Cluster:
             while events and events[0][0] == now:
                 _, kind, payload = heapq.heappop(events)
                 if kind == _ARRIVAL:
-                    saw_arrival = True
+                    admitting = True
                     arrivals_since += 1
                     item = items[payload]
                     # Keep exactly one future arrival in the heap: if the
@@ -1338,19 +1358,25 @@ class Cluster:
                             else 0.0,
                         )
                 elif kind == _TIMER:
-                    pass  # just wakes the dispatcher for a held batch
+                    # Wakes the dispatcher for a held batch.  A batch that
+                    # stays held releases after ``now``, so this time is
+                    # never requested again.
+                    scheduled_timers.discard(now)
                 else:
                     action, target, factor = controls[payload]
                     handle_control(now, action, target, factor)
+                    if action == "release":
+                        admitting = True  # held work enters the lanes
             # Sample the queue at its peak — after admissions, before
             # dispatch drains it — so max_queue_depth is consistent with the
             # drop count when a bounded queue fills.  Sketch mode samples
-            # arrival instants only: depth grows only at admissions, so the
-            # maximum is the same while the histogram stays small.
+            # only instants that admit work (arrivals and carbon-hold
+            # releases): depth grows only at admissions, so the maximum is
+            # the same while the histogram stays small.
             if exact:
                 trace_times.append(now)
                 trace_depths.append(lanes.pending)
-            elif saw_arrival:
+            elif admitting:
                 sink.on_instant_sample(lanes.pending)
             self._dispatch(
                 now, state, lanes, busy_time, sink, events, scheduled_timers, factors, power_gate, power_busy
@@ -1611,27 +1637,45 @@ class Cluster:
         cluster draw over the watt cap; ``power_busy`` charges a dispatched
         replica's busy draw into the power ledger.  Both are None when
         power is not modelled.
+
+        A free replica whose merged view is empty (no head in its own lane
+        nor in the shared lane) is skipped in O(1).  When batch selection
+        releases nothing, ``lanes.waits[replica]`` records the release time
+        it returned and both lanes' versions.  Until that time, while
+        neither version has moved, the lanes hold exactly what they held,
+        so the selection would return the same ``(None, release_at)`` and
+        its timer is already on the heap: the replica is skipped.  The
+        batch-1 path never records.
         """
         for replica in state.live:
-            if state.busy_until[replica] > now or lanes.pending == 0:
+            if state.busy_until[replica] > now:
                 continue
+            own = lanes.per_replica[replica]
+            shared = lanes.shared
+            if not own.heads and not shared.heads:
+                continue  # nothing this replica may run
             if power_gate is not None and power_gate(now, replica):
                 continue
             if self.max_batch_size == 1:
                 # No batching: the head of the merged lanes is the batch,
                 # unconditionally releasable.
-                head = lanes.pop_first(replica)
-                if head is None:
-                    continue
-                batch: Optional[List[_QueueItem]] = [head]
-                release_at: Optional[float] = None
+                batch: Optional[List[_QueueItem]] = [lanes.pop_first(replica)]
             else:
+                wait = lanes.waits[replica]
+                if (
+                    wait is not None
+                    and now < wait[0]
+                    and wait[1] == own.version
+                    and wait[2] == shared.version
+                ):
+                    continue  # still (None, wait[0]); its timer is queued
                 batch, release_at = self._select_batch(lanes, replica, now)
-            if batch is None:
-                if release_at is not None and release_at not in scheduled_timers:
-                    scheduled_timers.add(release_at)
-                    heapq.heappush(events, (release_at, _TIMER, replica))
-                continue
+                if batch is None:
+                    lanes.waits[replica] = (release_at, own.version, shared.version)
+                    if release_at not in scheduled_timers:
+                        scheduled_timers.add(release_at)
+                        heapq.heappush(events, (release_at, _TIMER, replica))
+                    continue
             for item in batch:
                 if item.replica is not None:
                     state.queued_work[item.replica] -= item.service_s
@@ -1689,6 +1733,14 @@ class Cluster:
         so a decision costs O(tenants + batch log n).  Returns
         ``(batch, None)`` or ``(None, earliest release time)`` exactly like
         the reference implementation's full-sort walk.
+
+        Every release time a ``(None, ...)`` answer considers is later than
+        ``now``.  A removal from a lane (a take, a drain) only lowers a
+        tenant's queued count and raises its oldest arrival, so it never
+        makes a batch releasable sooner — but it can postpone the earliest
+        release, and the reference schedules a timer at the postponed time.
+        :meth:`_dispatch` therefore re-decides after any change to either
+        lane, not only after an admission.
         """
         max_batch = self.max_batch_size
         timeout = self.batch_timeout_s
@@ -1712,13 +1764,18 @@ class _Lane:
     ``(head key, tenant)`` over the non-empty heaps, so walking it visits
     the lane's tenants in first-appearance (policy) order.  A tenant's heap
     stays in ``heaps`` once empty, sparing the dict churn on batch-1 runs.
+    ``version`` counts the admissions, batch takes and drains so far: two
+    equal versions mean the lane's contents did not change in between on a
+    batching run (:meth:`_Lanes.pop_first`, the batch-1 path, leaves it
+    alone; nothing reads it there).
     """
 
-    __slots__ = ("heaps", "heads")
+    __slots__ = ("heaps", "heads", "version")
 
     def __init__(self) -> None:
         self.heaps: Dict[str, List[Tuple[Tuple, _QueueItem]]] = {}
         self.heads: List[Tuple[Tuple, str]] = []
+        self.version = 0
 
     def _unlink(self, tenant: str, heap: List[Tuple[Tuple, _QueueItem]]) -> None:
         """Drop the tenant's (non-empty) heap from ``heads``."""
@@ -1731,6 +1788,7 @@ class _Lane:
     def drain(self) -> List[Tuple[Tuple, _QueueItem]]:
         """Remove and return every entry, in no particular order."""
         entries = [entry for heap in self.heaps.values() for entry in heap]
+        self.version += 1
         self.heaps.clear()
         del self.heads[:]
         return entries
@@ -1745,21 +1803,28 @@ class _Lanes:
     queued count off its heap and pops exactly the batch it dispatches.
     ``pending`` counts queued requests across all lanes (the
     admission-control bound and queue-depth trace read it); every method
-    that adds or removes an entry keeps it current.
+    that adds or removes an entry keeps it current.  ``waits[r]`` is
+    replica ``r``'s last batch decision that released nothing, as
+    ``(release_at, own version, shared version)`` (see
+    :meth:`Cluster._dispatch`); state of one run, sized by
+    :meth:`add_replica` like the lanes.
     """
 
-    __slots__ = ("shared", "per_replica", "pending")
+    __slots__ = ("shared", "per_replica", "pending", "waits")
 
     def __init__(self, num_replicas: int) -> None:
         self.shared = _Lane()
         self.per_replica = [_Lane() for _ in range(num_replicas)]
         self.pending = 0
+        self.waits: List[Optional[Tuple[float, int, int]]] = [None] * num_replicas
 
     def add_replica(self) -> None:
         self.per_replica.append(_Lane())
+        self.waits.append(None)
 
     def admit(self, item: _QueueItem, key: Tuple) -> None:
         lane = self.shared if item.replica is None else self.per_replica[item.replica]
+        lane.version += 1
         self.pending += 1
         tenant = item.request.tenant
         heap = lane.heaps.get(tenant)
@@ -1773,8 +1838,9 @@ class _Lanes:
         heapq.heappush(heap, (key, item))
         insort(lane.heads, (key, tenant))
 
-    def pop_first(self, replica: int) -> Optional[_QueueItem]:
-        """Pop the policy-first request of the replica's merged view, if any.
+    def pop_first(self, replica: int) -> _QueueItem:
+        """Pop the policy-first request of the replica's (non-empty) merged
+        view.
 
         That request is the first head of one of the two lanes, so the pop
         takes ``heads[0]`` without a search.
@@ -1783,10 +1849,8 @@ class _Lanes:
         shared = self.shared
         if own.heads and (not shared.heads or own.heads[0] < shared.heads[0]):
             lane = own
-        elif shared.heads:
-            lane = shared
         else:
-            return None
+            lane = shared
         self.pending -= 1
         heads = lane.heads
         tenant = heads.pop(0)[1]
@@ -1829,6 +1893,7 @@ class _Lanes:
         for lane in (self.per_replica[replica], self.shared):
             heap = lane.heaps.get(tenant)
             if heap:
+                lane.version += 1
                 lane._unlink(tenant, heap)
                 sources.append((lane, heap))
         if len(sources) == 1:
@@ -1847,9 +1912,19 @@ class _Lanes:
         return batch
 
     def drain(self, replica: int) -> List[Tuple[Tuple, _QueueItem]]:
-        """Remove the replica's own lane, as ``(key, item)`` in seq order."""
+        """Remove the replica's own lane, as ``(key, item)`` in the order
+        the items were first queued, as the oracle's queue list holds them.
+
+        A request is queued at its arrival, or at its carbon-hold release
+        (``item.late``), and a release at an instant comes before that
+        instant's arrivals (control events sort first); a re-route keeps
+        the first place.
+        """
         entries = self.per_replica[replica].drain()
-        entries.sort(key=lambda entry: entry[1].seq)
+        entries.sort(
+            key=lambda entry: entry[1].late
+            or (entry[1].request.arrival_s, 1, entry[1].seq)
+        )
         self.pending -= len(entries)
         return entries
 

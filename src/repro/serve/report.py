@@ -288,10 +288,11 @@ class ServingReport:
         if self.queue_depth_trace.size:
             return int(np.max(self.queue_depth_trace))
         if self.queue_depth_hist is not None and self.queue_depth_hist.count:
-            # The maximum queue depth is always attained at an arrival
-            # instant (depth only grows at admissions), so the sketch-mode
-            # arrival-instant sampling sees the same maximum the exact
-            # every-instant trace records.
+            # The maximum queue depth is always attained at an instant that
+            # admits work (an arrival or a carbon-hold release; depth only
+            # grows at admissions), so sketch mode's sampling of those
+            # instants sees the same maximum the exact every-instant trace
+            # records.
             return int(self.queue_depth_hist.max)
         return 0
 

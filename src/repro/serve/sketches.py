@@ -45,6 +45,7 @@ Accuracy contract (pinned by ``tests/test_serve_sketches.py``):
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -348,8 +349,10 @@ class StreamingHistogram:
         return value_low + (rank - k_low) * (value_high - value_low)
 
     def update(self, value: float) -> None:
-        bucket = int(np.searchsorted(self.edges, value, side="right"))
-        self.counts[bucket] += 1
+        # bisect_right on the edges array is searchsorted(side="right") for
+        # one value, NaN included (it lands past the last edge), without
+        # numpy's per-call wrapper.
+        self.counts[bisect_right(self.edges, value)] += 1
         self.moments.update(value)
 
     def update_many(self, values: np.ndarray) -> None:

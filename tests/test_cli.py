@@ -363,7 +363,7 @@ class TestServeCommand:
         assert err.startswith("cannot generate load:") and needle in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("arrival", ["poisson", "constant"])
+    @pytest.mark.parametrize("arrival", ["poisson", "constant", "bursty", "diurnal"])
     def test_serve_horizon_sized_overflow_exits_with_one_line(self, arrival, capsys):
         """A rate x duration whose request count overflows exits 2, no traceback."""
         code = main(

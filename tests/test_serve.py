@@ -10,22 +10,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import GraphStream
 from repro.serve import (
+    CarbonIntensity,
+    CarbonWaitingAdmission,
     Cluster,
     ConstantArrivals,
     DispatchPolicy,
     DiurnalArrivals,
     FaultSchedule,
+    LeastLoadedPolicy,
     LoadGenerator,
     OnOffArrivals,
     PoissonArrivals,
+    PowerModel,
+    ReactiveAutoscaler,
     TraceArrivals,
     Workload,
     get_policy,
     reference_serve,
 )
+from repro.serve.arrivals import ServingRequest
+from repro.serve.cluster import _Lanes, _QueueItem, _SimState
 from repro.serve.reference import assert_reports_identical
 
 
@@ -247,8 +256,13 @@ class TestArrivalProcesses:
 
     @pytest.mark.parametrize(
         "process",
-        [PoissonArrivals(1e300), ConstantArrivals(1e-300)],
-        ids=["poisson", "constant"],
+        [
+            PoissonArrivals(1e300),
+            ConstantArrivals(1e-300),
+            OnOffArrivals(on_rate_rps=1e300, mean_on_s=1.0, mean_off_s=1.0),
+            DiurnalArrivals(1e300),
+        ],
+        ids=["poisson", "constant", "bursty", "diurnal"],
     )
     def test_horizon_sized_count_must_be_finite(self, process):
         """A rate x duration overflowing the request count is a ValueError."""
@@ -349,6 +363,23 @@ class TestLoadGenerator:
             LoadGenerator(tenants, ConstantArrivals(1e-3))
 
 
+@st.composite
+def _least_loaded_states(draw):
+    """``(busy_until, queued_work, now, live)`` of one least-loaded decision.
+
+    Values come from a small pool as often as not, so ties and
+    ``busy_until == now`` are common; ``live`` is any non-empty subset, as
+    after failures.
+    """
+    size = draw(st.integers(1, 6))
+    times = st.one_of(st.sampled_from([0.0, 1e-3, 2e-3]), st.floats(0.0, 4e-3))
+    work = st.one_of(st.just(0.0), st.floats(0.0, 4e-3))
+    busy = draw(st.lists(times, min_size=size, max_size=size))
+    queued = draw(st.lists(work, min_size=size, max_size=size))
+    live = sorted(draw(st.sets(st.integers(0, size - 1), min_size=1)))
+    return busy, queued, draw(times), live
+
+
 # ---------------------------------------------------------------------------
 # Dispatch policies
 # ---------------------------------------------------------------------------
@@ -376,6 +407,23 @@ class TestPolicies:
         ).generate(num_requests=4)
         report = cluster.serve(burst)
         assert {record.replica for record in report.records} == {0, 1}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_least_loaded_states())
+    @example(([0.0, 1e-3, 0.5e-3], [0.0, 0.0, 0.0], 2e-3, [0, 1, 2]))  # all idle
+    @example(([5e-3, 1e-3, 2e-3, 0.0], [0.0, 1e-3, 0.0, 2e-3], 1e-3, [1, 3]))
+    @example(([3e-3], [1e-3], 0.0, [0]))
+    def test_least_loaded_matches_first_argmin(self, decision):
+        """The Python scan picks ``live[np.argmin(backlog)]``: ties go to the
+        earliest live replica, idle replicas clamp to a zero backlog."""
+        busy, queued, now, live = decision
+        state = _SimState(busy_until=busy, queued_work=queued, now=now, live=live)
+        backlog = [max(busy[r] - now, 0.0) + queued[r] for r in live]
+        assert LeastLoadedPolicy().assign(None, state) == int(live[int(np.argmin(backlog))])
+
+    def test_least_loaded_with_no_live_replica_leaves_work_shared(self):
+        state = _SimState(busy_until=[1.0, 2.0], queued_work=[0.0, 0.0], now=0.5, live=[])
+        assert LeastLoadedPolicy().assign(None, state) is None
 
     def test_edf_serves_tightest_deadline_first(self, molhiv_sample):
         tight = Workload("tight", model="GCN", dataset=molhiv_sample, deadline_s=1e-4)
@@ -835,3 +883,286 @@ def test_two_lane_merge_when_every_replica_fails_and_recovers(six_tenants):
     assert exact.mean_batch_size > 1.0, "batching never engaged in the scenario"
     assert_reports_identical(exact, reference_serve(cluster, requests))
     _assert_sketch_counts_match(cluster, requests, exact)
+
+
+# ---------------------------------------------------------------------------
+# The dispatcher's record of a replica's last no-batch decision
+# ---------------------------------------------------------------------------
+class _HalfPinnedPolicy(DispatchPolicy):
+    """Pins even-indexed tenants least-loaded; odd-indexed ones stay shared."""
+
+    name = "half_pinned"
+
+    def assign(self, item, state):
+        if item.request.tenant_index % 2:
+            return None
+        return LeastLoadedPolicy.assign(self, item, state)
+
+    def order_key(self, item):
+        return ()
+
+
+class _ScriptedPolicy(DispatchPolicy):
+    """Pins the request of arrival order ``seq`` to ``pins[seq]``; a pin
+    whose replica is not live (a re-route) falls back to the first live one."""
+
+    name = "scripted"
+
+    def __init__(self, pins):
+        self.pins = pins
+
+    def assign(self, item, state):
+        pin = self.pins[item.seq]
+        if pin is None or pin in state.live:
+            return pin
+        return state.live[0] if state.live else None
+
+    def order_key(self, item):
+        return ()
+
+
+def _record_scenario(tenants, kind, timeout_services, seed):
+    """A batching cluster (timeout in mean service times) and its load,
+    built so that some replica's recorded decision could go stale."""
+    if kind == "carbon_hold":
+        # Deferrable tenants with deadline slack to wait for a clean grid.
+        tenants = [
+            Workload(
+                w.tenant,
+                model=w.model,
+                dataset=w.dataset,
+                deadline_s=1.0 if i % 3 == 2 else w.deadline_s,
+                priority=w.priority,
+                tenant_class="deferrable" if i % 3 == 2 else "realtime",
+            )
+            for i, w in enumerate(tenants)
+        ]
+    policy = {
+        "half_pinned": _HalfPinnedPolicy(),
+        "partial_batches": _SplitLanePolicy(),
+        "carbon_hold": "round_robin",
+    }.get(kind, "least_loaded")
+    replicas = 4 if kind in ("partial_batches", "scale_down_drain") else 3
+    base = Cluster(
+        tenants,
+        backend="cpu",
+        num_replicas=replicas,
+        policy=policy,
+        max_batch_size=6 if kind == "partial_batches" else 4,
+    )
+    mean = base.mean_service_s()
+    options = {"batch_timeout_s": timeout_services * mean}
+    utilisation = 1.0
+    if kind == "partial_batches":
+        utilisation = 0.6
+    elif kind == "crash_reroute":
+        options["faults"] = FaultSchedule.parse(
+            f"fail@{15 * mean}:r1;recover@{30 * mean}:r1", num_replicas=3
+        )
+        utilisation = 0.7
+    elif kind == "scale_down_drain":
+        options["autoscaler"] = ReactiveAutoscaler(
+            min_replicas=1,
+            max_replicas=4,
+            interval_s=3 * mean,
+            provision_delay_s=2 * mean,
+            scale_down_hysteresis_s=3 * mean,
+        )
+        utilisation = 0.5
+    elif kind == "carbon_hold":
+        options["power"] = PowerModel.parse("busy=2.0,idle=0.5")
+        options["carbon"] = CarbonIntensity.diurnal(period_s=30 * mean)
+        options["admission"] = CarbonWaitingAdmission(carbon_threshold=350.0)
+        utilisation = 0.8
+    cluster = base.with_options(**options)
+    rate = utilisation * replicas / mean
+    requests = LoadGenerator.bursty(tenants, rate, seed=seed).generate(num_requests=60)
+    return cluster, requests
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "kind, timeout_services",
+    [
+        ("half_pinned", 2.0),
+        ("partial_batches", 2.0),
+        ("partial_batches", 30.0),
+        ("crash_reroute", 2.0),
+        ("scale_down_drain", 2.0),
+        ("carbon_hold", 2.0),
+    ],
+)
+def test_decision_record_scenarios_match_reference(six_tenants, kind, timeout_services, seed):
+    """Replicas idle on partial batches while lanes change around them.
+
+    A replica whose last batch selection released nothing is not re-decided
+    until one of its two lanes changes or its release time arrives; each
+    scenario changes lanes in another way (shared-lane admissions and takes,
+    a crash re-routing a pinned lane, a scale-down drain, a carbon hold
+    released into a lane) and must still match the oracle bit for bit.
+    """
+    cluster, requests = _record_scenario(six_tenants, kind, timeout_services, seed)
+    exact = cluster.serve(requests)
+    assert_reports_identical(exact, reference_serve(cluster, requests))
+    _assert_sketch_counts_match(cluster, requests, exact)
+    assert exact.mean_batch_size > 1.0, "batching never engaged in the scenario"
+    if kind == "crash_reroute":
+        assert exact.event_counts["failures"] == 1
+    elif kind == "scale_down_drain":
+        assert exact.event_counts["scale_down_events"] > 0
+    elif kind == "carbon_hold":
+        unheld = cluster.with_options(admission=None).serve(requests)
+        assert [r.start_s for r in exact.records] != [r.start_s for r in unheld.records]
+
+
+def test_decision_record_is_redone_after_a_shared_lane_take(molhiv_sample):
+    """A take from the shared lane by another replica invalidates the record.
+
+    Replica 0 waits on shared ``a@0`` (release ``T``) and ``b@0.1``; replica
+    1 then fills a batch of ``a`` from its own lane plus the shared one.  At
+    ``a@0.3`` replica 0 must re-decide: its earliest release moved to
+    ``0.1 + T``, and the oracle schedules that timer instant.
+    """
+    tenants = [
+        Workload("a", model="GCN", dataset=molhiv_sample),
+        Workload("b", model="GIN", dataset=molhiv_sample),
+    ]
+    base = Cluster(
+        tenants,
+        backend="cpu",
+        num_replicas=2,
+        max_batch_size=2,
+        policy=_ScriptedPolicy({0: None, 1: None, 2: 1, 3: 1, 4: None}),
+    )
+    mean = base.mean_service_s()
+    cluster = base.with_options(batch_timeout_s=5 * mean)
+    requests = LoadGenerator(
+        tenants,
+        {
+            "a": TraceArrivals([0.0, 0.2 * mean, 0.3 * mean]),
+            "b": TraceArrivals([0.1 * mean, 0.4 * mean]),
+        },
+    ).generate(num_requests=3)
+    exact = cluster.serve(requests)
+    assert_reports_identical(exact, reference_serve(cluster, requests))
+    assert requests[1].arrival_s + cluster.batch_timeout_s in exact.queue_depth_times_s
+
+
+def test_decision_record_is_redone_after_a_drain(molhiv_sample):
+    """A crash draining a replica's own lane invalidates its record.
+
+    Replica 0 waits on its own ``a@0`` and shared ``b@0.1``; it fails (``a``
+    is re-routed to replica 1) and recovers.  Its view is now ``b`` alone,
+    so it must re-decide at once: the oracle schedules ``b``'s release
+    before a full batch of ``d`` keeps replica 0 busy past it.
+    """
+    tenants = [Workload(name, model="GCN", dataset=molhiv_sample) for name in "abcd"]
+    base = Cluster(
+        tenants,
+        backend="cpu",
+        num_replicas=2,
+        max_batch_size=2,
+        policy=_ScriptedPolicy({0: 0, 1: 1, 2: 1, 3: None, 4: 0, 5: 0}),
+    )
+    mean = base.mean_service_s()
+    cluster = base.with_options(
+        batch_timeout_s=mean,
+        faults=FaultSchedule.parse(
+            f"fail@{0.2 * mean}:r0;recover@{0.3 * mean}:r0", num_replicas=2
+        ),
+    )
+    requests = LoadGenerator(
+        tenants,
+        {
+            "a": TraceArrivals([0.0]),
+            "b": TraceArrivals([0.1 * mean]),
+            "c": TraceArrivals([0.0, 0.0]),
+            "d": TraceArrivals([0.4 * mean, 0.4 * mean]),
+        },
+    ).generate(duration_s=mean)
+    exact = cluster.serve(requests)
+    assert_reports_identical(exact, reference_serve(cluster, requests))
+    b_arrival = next(r.arrival_s for r in requests if r.tenant == "b")
+    assert b_arrival + cluster.batch_timeout_s in exact.queue_depth_times_s
+
+
+def test_reroute_keeps_first_admission_order_after_a_carbon_hold(molhiv_sample):
+    """A held request admitted late is re-routed after earlier admissions.
+
+    ``deferred@0`` is held on a dirty grid while ``live@1,2,3`` queue on
+    replicas 0, 1, 2; the clean edge at 10 releases it round-robin onto
+    replica 0, behind ``live@1``.  When replica 0 fails, its lane re-routes
+    in admission order (``live@1`` to replica 1, then ``deferred`` to
+    replica 2), as the oracle's queue list does, not in arrival order.
+    """
+    tenants = [
+        Workload(
+            "deferred", model="GIN", dataset=molhiv_sample, deadline_s=1.0,
+            tenant_class="deferrable",
+        ),
+        Workload("live", model="GCN", dataset=molhiv_sample, deadline_s=1.0),
+    ]
+    base = Cluster(
+        tenants, backend="cpu", num_replicas=3, policy="round_robin", max_batch_size=8
+    )
+    mean = base.mean_service_s()
+    cluster = base.with_options(
+        batch_timeout_s=100 * mean,
+        carbon=CarbonIntensity(times_s=(0.0, 10 * mean), intensities=(500.0, 100.0)),
+        admission=CarbonWaitingAdmission(carbon_threshold=300.0),
+        faults=FaultSchedule.parse(f"fail@{12 * mean}:r0", num_replicas=3),
+    )
+    requests = LoadGenerator(
+        tenants,
+        {
+            "deferred": TraceArrivals([0.0]),
+            "live": TraceArrivals([mean, 2 * mean, 3 * mean]),
+        },
+    ).generate(num_requests=4)
+    exact = cluster.serve(requests)
+    assert_reports_identical(exact, reference_serve(cluster, requests))
+    _assert_sketch_counts_match(cluster, requests, exact)
+    replica_of = {(r.request.tenant, r.request.index): r.replica for r in exact.records}
+    assert replica_of[("live", 0)] == 1 and replica_of[("deferred", 0)] == 2
+
+
+def test_drain_orders_a_release_before_the_same_instants_arrivals():
+    """Controls run before arrivals at one instant, so a request released
+    from a carbon hold at ``t`` was queued before every arrival at ``t``."""
+
+    def item(seq, arrival_s):
+        request = ServingRequest("t", 0, seq, arrival_s, 0, None)
+        return _QueueItem(request=request, seq=seq, service_s=1.0, replica=0)
+
+    arrived_at_release, released, arrived_before = item(5, 1.0), item(0, 0.0), item(3, 0.5)
+    released.late = (1.0, 0, 0)
+    lanes = _Lanes(1)
+    for queued in (arrived_at_release, released, arrived_before):
+        lanes.admit(queued, (queued.seq,))
+    assert [entry[1] for entry in lanes.drain(0)] == [
+        arrived_before,
+        released,
+        arrived_at_release,
+    ]
+
+
+def test_batch_timer_set_holds_only_pending_times(six_tenants, monkeypatch):
+    """A fired batch timer leaves the dedup set, so sketch mode's memory
+    stays bounded by the backlog rather than growing with the run."""
+    tenants = six_tenants[:4]
+    base = Cluster(
+        tenants, backend="cpu", num_replicas=2, policy="least_loaded", max_batch_size=4
+    )
+    cluster = base.with_options(batch_timeout_s=0.5 * base.mean_service_s())
+    stale = []
+    dispatch = Cluster._dispatch
+
+    def checked(self, now, state, lanes, busy_time, sink, events, scheduled_timers, *rest):
+        stale.append(sum(1 for t in scheduled_timers if t <= now))
+        return dispatch(self, now, state, lanes, busy_time, sink, events, scheduled_timers, *rest)
+
+    monkeypatch.setattr(Cluster, "_dispatch", checked)
+    rate = 0.9 * cluster.num_replicas / cluster.mean_service_s()
+    report = cluster.serve_stream(LoadGenerator.bursty(tenants, rate, seed=0), num_requests=500)
+    assert report.submitted == 2000 and report.mean_batch_size > 1.0
+    assert max(stale) == 0, f"{max(stale)} fired timer times still in the set"

@@ -206,6 +206,35 @@ class TestStreamingHistogram:
         assert scalar.mean == pytest.approx(vector.mean, rel=1e-12)
         assert scalar.max == vector.max
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            StreamingHistogram.log_spaced,
+            StreamingHistogram.power_of_two,
+            lambda: StreamingHistogram.integers(8),
+        ],
+        ids=["log_spaced", "power_of_two", "integers"],
+    )
+    def test_scalar_update_buckets_every_boundary_like_update_many(self, make):
+        """Each value lands where ``update_many`` puts it: on every edge, one
+        ulp either side, outside the edge range, and at +-inf and NaN."""
+        edges = make().edges
+        values = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [edges[0] / 2, 0.0, -0.0, -1.0, edges[-1] * 2],
+                [np.inf, -np.inf, np.nan],
+            ]
+        )
+        scalar, vector = make(), make()
+        for value in values.tolist():
+            scalar.update(value)
+            vector.update_many(np.array([value]))
+            np.testing.assert_array_equal(scalar.counts, vector.counts)
+        assert int(scalar.counts.sum()) == values.size
+
     def test_integer_buckets_are_lossless(self):
         sizes = np.array([1, 4, 2, 4, 4, 1], dtype=np.float64)
         hist = StreamingHistogram.integers(4)
