@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_MAX_UNITS = 2**63 - 1
+
+
 class PipelineStrategy:
     """String constants naming the four scheduling strategies of Fig. 4."""
 
@@ -101,6 +104,9 @@ class ArchitectureConfig:
     def __post_init__(self) -> None:
         if self.num_nt_units < 1 or self.num_mp_units < 1:
             raise ValueError("unit counts must be >= 1")
+        # Schedulers divide int64 node ids by the unit counts.
+        if max(self.num_nt_units, self.num_mp_units) > _MAX_UNITS:
+            raise ValueError(f"unit counts must be <= 2**63 - 1 ({_MAX_UNITS})")
         if self.apply_parallelism < 1 or self.scatter_parallelism < 1:
             raise ValueError("parallelism factors must be >= 1")
         if self.clock_mhz <= 0:

@@ -101,6 +101,44 @@ def _buffer_brams(entries: int, width: int, banks: int) -> int:
     return max(blocks, banks)
 
 
+@dataclass(frozen=True)
+class _LayerWidths:
+    """What the resource model reads from a model's layer stack."""
+
+    max_out: int
+    max_in: int
+    max_message: int
+    max_aggregated: int
+    attention_heads: int
+    nt_stages: int
+    num_aggregates: int
+    uses_edge_features: bool
+
+
+_WIDTHS_SLOT = "_resource_widths"
+
+
+def _layer_widths(profile: ModelProfile) -> _LayerWidths:
+    """The layer stack's widths, derived once per profile."""
+    widths = profile._derived.get(_WIDTHS_SLOT)
+    if widths is None:
+        specs = profile.layer_specs
+        widths = _LayerWidths(
+            max_out=max(spec.out_dim for spec in specs),
+            max_in=max(max(shape[0] for shape in spec.nt_linear_shapes) for spec in specs),
+            max_message=max(spec.message_dim for spec in specs),
+            max_aggregated=max(spec.aggregated_dim for spec in specs),
+            attention_heads=max(spec.attention_heads for spec in specs),
+            nt_stages=max(len(spec.nt_linear_shapes) for spec in specs),
+            num_aggregates=max(
+                {"pna": 4, "directional": 2}.get(spec.aggregation, 1) for spec in specs
+            ),
+            uses_edge_features=any(spec.uses_edge_features for spec in specs),
+        )
+        profile._derived[_WIDTHS_SLOT] = widths
+    return widths
+
+
 def estimate_resources(
     model: Union[GNNModel, ModelProfile],
     config: ArchitectureConfig,
@@ -112,19 +150,7 @@ def estimate_resources(
     ``model`` is a :class:`~repro.nn.models.base.GNNModel` or its
     :class:`~repro.arch.ModelProfile`.
     """
-    specs = ModelProfile.of(model).layer_specs
-    max_out = max(spec.out_dim for spec in specs)
-    max_in = max(
-        max(shape[0] for shape in spec.nt_linear_shapes) for spec in specs
-    )
-    max_msg = max(spec.message_dim for spec in specs)
-    max_agg = max(spec.aggregated_dim for spec in specs)
-    attention_heads = max(spec.attention_heads for spec in specs)
-    nt_stages = max(len(spec.nt_linear_shapes) for spec in specs)
-    num_aggregates = max(
-        {"pna": 4, "directional": 2}.get(spec.aggregation, 1) for spec in specs
-    )
-
+    widths = _layer_widths(ModelProfile.of(model))
     num_nt = config.effective_nt_units()
     num_mp = config.effective_mp_units()
 
@@ -133,12 +159,12 @@ def estimate_resources(
     # stages per node (an MLP or multi-head projection instantiates one MAC
     # group per stage); MP lanes scale with P_scatter and the number of
     # concurrent running aggregates.
-    datapath_width = max((max_in + max_out) // 8, 1)
+    datapath_width = max((widths.max_in + widths.max_out) // 8, 1)
     nt_dsp = (
-        num_nt * config.apply_parallelism * _DSP_PER_NT_LANE * datapath_width * nt_stages
+        num_nt * config.apply_parallelism * _DSP_PER_NT_LANE * datapath_width * widths.nt_stages
     )
-    mp_dsp = num_mp * config.scatter_parallelism * _DSP_PER_MP_LANE * num_aggregates
-    attention_dsp = num_mp * attention_heads * _DSP_PER_ATTENTION_HEAD
+    mp_dsp = num_mp * config.scatter_parallelism * _DSP_PER_MP_LANE * widths.num_aggregates
+    attention_dsp = num_mp * widths.attention_heads * _DSP_PER_ATTENTION_HEAD
     dsp = nt_dsp + mp_dsp + attention_dsp
 
     # LUT/FF: datapath + control per DSP and per unit.
@@ -148,9 +174,9 @@ def estimate_resources(
 
     # BRAM: node embedding buffer, two message buffers, edge attribute table
     # and the per-MP-unit data queues.
-    bram = _buffer_brams(max_nodes, max_out, num_nt)
-    bram += 2 * _buffer_brams(max_nodes, max_agg, num_mp)
-    edge_width = max_msg if any(spec.uses_edge_features for spec in specs) else 2
+    bram = _buffer_brams(max_nodes, widths.max_out, num_nt)
+    bram += 2 * _buffer_brams(max_nodes, widths.max_aggregated, num_mp)
+    edge_width = widths.max_message if widths.uses_edge_features else 2
     bram += _buffer_brams(max_edges, edge_width, num_mp)
     bram += num_mp * max(config.node_queue_depth // 8, 1)
 

@@ -26,7 +26,7 @@ simulates one model under many configurations and derives it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -64,6 +64,12 @@ class ModelProfile:
     a caller that evaluates one model many times derives it once with
     :meth:`of` and passes it in.  A profile is a snapshot of the model when
     it was taken; nothing is stored on the model.
+
+    Layers with equal specs share one :class:`LayerSpec` object, so a
+    schedule-cache hit compares the spec by identity.  What other modules
+    derive from the profile alone (the resource model's layer widths) is
+    kept in ``_derived``, which, like ``Graph._degree_cache``, is neither an
+    init field nor compared.
     """
 
     name: str
@@ -73,6 +79,7 @@ class ModelProfile:
     head_linear_shapes: LinearShapes = ()
     #: The virtual-node MLPs' dense layers; ``None`` without a virtual node.
     virtual_node_linear_shapes: Optional[LinearShapes] = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, model: Union[GNNModel, "ModelProfile"]) -> "ModelProfile":
@@ -89,9 +96,10 @@ class ModelProfile:
             virtual_node = _linear_shapes(
                 linear for mlp in model.virtual_node_mlps for linear in mlp.layers
             )
+        shared: Dict[LayerSpec, LayerSpec] = {}
         return cls(
             name=model.name,
-            layer_specs=tuple(model.layer_specs()),
+            layer_specs=tuple(shared.setdefault(spec, spec) for spec in model.layer_specs()),
             parameter_count=model.parameter_count(),
             head_linear_shapes=_linear_shapes(head_linears),
             virtual_node_linear_shapes=virtual_node,
@@ -151,15 +159,11 @@ class SimulationResult:
 
     def nt_utilisation(self) -> float:
         """Average NT utilisation over the layer stack."""
-        if not self.layer_timings:
-            return 0.0
-        return float(np.mean([t.nt_utilisation for t in self.layer_timings]))
+        return _mean([t.nt_utilisation for t in self.layer_timings])
 
     def mp_utilisation(self) -> float:
         """Average MP utilisation over the layer stack."""
-        if not self.layer_timings:
-            return 0.0
-        return float(np.mean([t.mp_utilisation for t in self.layer_timings]))
+        return _mean([t.mp_utilisation for t in self.layer_timings])
 
     def breakdown(self) -> Dict[str, int]:
         """Cycle breakdown by phase, for reports."""
@@ -169,6 +173,14 @@ class SimulationResult:
             "readout": self.readout_cycles,
             "weight_loading_one_time": self.weight_loading_cycles,
         }
+
+
+def _mean(values: List[float]) -> float:
+    """``float(np.mean(values))`` bit for bit (0.0 when empty), without its
+    wrapper: ``np.mean`` is this sum over the count."""
+    if not values:
+        return 0.0
+    return float(np.add.reduce(values)) / len(values)
 
 
 def graph_loading_cycles(graph: Graph, config: ArchitectureConfig) -> int:

@@ -20,6 +20,7 @@ computed once per graph and stashed on the graph's private cache dict;
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Callable, Dict, Tuple
 
 from ..arch.config import ArchitectureConfig
@@ -61,7 +62,9 @@ def graph_signature(graph: Graph) -> str:
     digest = hashlib.sha1()
     digest.update(str(graph.num_nodes).encode())
     digest.update(b"|")
-    digest.update(memoryview(graph.edge_index).cast("B"))
+    # The row-major edge list's raw bytes (a byte view of an empty array
+    # cannot be cast, but hashlib reads any contiguous buffer).
+    digest.update(graph.edge_index)
     signature = digest.hexdigest()
     graph._degree_cache[_SIGNATURE_SLOT] = signature
     return signature
@@ -87,14 +90,15 @@ class ScheduleCache:
     ----------
     use_fast_path:
         When ``True`` (default), cache misses are computed with
-        :func:`~repro.dse.fast_schedule_layer`, the vectorised scheduler that
-        is verified bit-identical to the reference implementation.  Set to
+        :func:`~repro.dse.fast_schedule_layer`, the closed-form scheduler
+        that is verified bit-identical to the reference implementation.  Set to
         ``False`` to fall back to the reference scheduler on misses.
     """
 
     def __init__(self, use_fast_path: bool = True) -> None:
         self._entries: Dict[Tuple, LayerTiming] = {}
-        self._compute: Callable[[Graph, LayerSpec, ArchitectureConfig], LayerTiming] = (
+        self._use_fast_path = use_fast_path
+        self._compute: Callable[..., LayerTiming] = (
             fast_schedule_layer if use_fast_path else schedule_layer
         )
         self.hits = 0
@@ -104,8 +108,7 @@ class ScheduleCache:
         self, graph: Graph, spec: LayerSpec, config: ArchitectureConfig
     ) -> LayerTiming:
         """Cached equivalent of ``schedule_layer(graph, spec, config)``."""
-        config_key = tuple(getattr(config, name) for name in _SCHEDULE_FIELDS)
-        return self._lookup((graph_signature(graph), spec, config_key), graph, spec, config)
+        return self.bind(config)(graph, spec, config)
 
     # Allow the cache object itself to be used as a ``schedule_fn``.
     __call__ = schedule
@@ -113,35 +116,37 @@ class ScheduleCache:
     def bind(self, config: ArchitectureConfig) -> Callable:
         """A ``schedule_fn`` specialised for one configuration.
 
-        Sweeps evaluate many layers under the same config; binding hoists the
-        reduced config key out of the per-layer lookup.  The returned
-        callable keeps the ``(graph, spec, config)`` signature expected by
+        Sweeps evaluate many layers under the same config; binding hoists
+        out of the per-layer lookup the reduced config key and, on the fast
+        path, what a miss derives from ``(spec, config)``: the returned
+        callable keeps one :class:`~repro.dse.fastpath.LayerPlan` per spec
+        for as long as it lives (one sweep point, or one accelerator), so
+        the plan is built once, not once per graph.  It keeps the
+        ``(graph, spec, config)`` signature expected by
         ``simulate_inference`` but schedules against the *bound* config —
         the passed one is ignored, so a mismatched caller cannot poison the
         cache with entries computed under a different configuration.
         """
         config_key = tuple(getattr(config, name) for name in _SCHEDULE_FIELDS)
+        entries = self._entries
+        # Every miss, its plan included, runs inside the captured scheduler.
+        compute = self._compute
+        if self._use_fast_path:
+            compute = partial(compute, plans={})
 
         def bound_schedule(
             graph: Graph, spec: LayerSpec, _cfg: ArchitectureConfig
         ) -> LayerTiming:
-            return self._lookup(
-                (graph_signature(graph), spec, config_key), graph, spec, config
-            )
+            key = (graph_signature(graph), spec, config_key)
+            timing = entries.get(key)
+            if timing is None:
+                self.misses += 1
+                timing = entries[key] = compute(graph, spec, config)
+            else:
+                self.hits += 1
+            return timing
 
         return bound_schedule
-
-    def _lookup(
-        self, key: Tuple, graph: Graph, spec: LayerSpec, config: ArchitectureConfig
-    ) -> LayerTiming:
-        timing = self._entries.get(key)
-        if timing is not None:
-            self.hits += 1
-            return timing
-        self.misses += 1
-        timing = self._compute(graph, spec, config)
-        self._entries[key] = timing
-        return timing
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -38,6 +38,14 @@ class TestValidation:
             ArchitectureConfig(**kwargs)
 
 
+    @pytest.mark.parametrize("field", ["num_nt_units", "num_mp_units"])
+    def test_unit_counts_fit_in_int64(self, field):
+        """Schedulers divide int64 node ids by the unit counts."""
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            ArchitectureConfig(**{field: 2**63})
+        assert getattr(ArchitectureConfig(**{field: 2**63 - 1}), field) == 2**63 - 1
+
+
 class TestDerivedQuantities:
     def test_cycle_time(self):
         config = ArchitectureConfig(clock_mhz=300.0)

@@ -6,6 +6,7 @@ from repro.arch import (
     ALVEO_U50,
     ArchitectureConfig,
     FlowGNNAccelerator,
+    ModelProfile,
     TABLE3_REFERENCE,
     compare_traces,
     estimate_energy,
@@ -13,7 +14,9 @@ from repro.arch import (
     trace_from_result,
 )
 from repro.arch.energy import estimate_power
-from repro.nn import build_model
+from repro.datasets import load_dataset
+from repro.dse import SweepSpec
+from repro.nn import MODEL_NAMES, build_model
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,28 @@ class TestResources:
         usage = estimate.utilisation(ALVEO_U50)
         assert set(usage) == {"dsp", "lut", "ff", "bram"}
         assert all(0.0 < value <= 1.0 for value in usage.values())
+
+
+    @pytest.mark.parametrize("dataset", ["MolHIV", "HEP"])
+    def test_profile_widths_derived_once_match_a_fresh_model(self, dataset):
+        """Every zoo model across the Fig. 10 grid: a profile that is asked
+        again and again gives what the model itself gives."""
+        data = load_dataset(dataset, num_graphs=1)
+        configs = list(SweepSpec.parallelism_grid().configs())
+        for name in MODEL_NAMES:
+            model = build_model(name, input_dim=data.node_feature_dim, edge_input_dim=data.edge_feature_dim)
+            profile = ModelProfile.of(model)
+            for config in configs:
+                expected = estimate_resources(model, config)
+                assert estimate_resources(profile, config) == expected
+                assert estimate_resources(profile, config) == expected
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_profile_shares_equal_layer_specs(self, name):
+        model = build_model(name, input_dim=9, edge_input_dim=3)
+        specs = ModelProfile.of(model).layer_specs
+        assert specs == tuple(model.layer_specs())
+        assert len({id(spec) for spec in specs}) == len(set(specs))
 
 
 class TestEnergy:

@@ -1,7 +1,12 @@
 """Tests for the end-to-end simulator and the FlowGNNAccelerator API."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import (
     ArchitectureConfig,
@@ -13,8 +18,20 @@ from repro.arch import (
     simulate_inference,
     weight_loading_cycles,
 )
+from repro.datasets import load_dataset
+from repro.dse import SweepSpec
 from repro.graph import molecule_like_graph
 from repro.nn import MODEL_NAMES, build_gin, build_gin_virtual_node, build_model
+
+# The corners of the Fig. 10 grid: every knob at its smallest and largest value.
+FIG10_CORNERS = [
+    ArchitectureConfig(
+        apply_parallelism=apply, scatter_parallelism=scatter, num_nt_units=node, num_mp_units=edge
+    )
+    for apply, scatter, node, edge in itertools.product(
+        *((min(values), max(values)) for values in SweepSpec.parallelism_grid().grid.values())
+    )
+]
 
 
 class TestLoadingCosts:
@@ -99,6 +116,38 @@ class TestSimulationResult:
         assert result.mp_utilisation() == 0.0
         assert result.compute_cycles == 0
         assert result.total_cycles == 15
+
+    @pytest.mark.parametrize("dataset", ["MolHIV", "HEP"])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_utilisation_means_are_numpy_means(self, name, dataset):
+        """Bit for bit ``float(np.mean(...))`` on every zoo model at every
+        corner of the Fig. 10 grid."""
+        data = load_dataset(dataset, num_graphs=2)
+        model = build_model(name, input_dim=data.node_feature_dim, edge_input_dim=data.edge_feature_dim)
+        for config in FIG10_CORNERS:
+            for result in FlowGNNAccelerator(model, config).run_stream(data).per_graph_results:
+                timings = result.layer_timings
+                assert result.nt_utilisation().hex() == float(np.mean([t.nt_utilisation for t in timings])).hex()
+                assert result.mp_utilisation().hex() == float(np.mean([t.mp_utilisation for t in timings])).hex()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(-1e15, 1e15, allow_nan=False),
+                st.floats(-1e-12, 1e-12, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_utilisation_mean_of_any_floats_is_numpy_mean(self, values):
+        """Eight or more values take numpy's pairwise summation branch."""
+        timings = [SimpleNamespace(nt_utilisation=v, mp_utilisation=-v) for v in values]
+        result = SimulationResult("m", "g", ArchitectureConfig(), timings, 0, 0, 0)
+        assert result.nt_utilisation().hex() == float(np.mean(values)).hex()
+        assert result.mp_utilisation().hex() == float(np.mean([-v for v in values])).hex()
 
     def test_utilisation_bounded_for_real_simulation(self, gin_model, molhiv_sample):
         result = simulate_inference(gin_model, molhiv_sample[0])

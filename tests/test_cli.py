@@ -144,6 +144,14 @@ class TestSimulateAndDatasetsErrorPaths:
         assert "must be >= 1" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--nt-units", "--mp-units"])
+    def test_simulate_unit_count_beyond_int64_exits_with_error(self, flag, capsys):
+        assert main(["simulate", "--num-graphs", "2", flag, str(2**63)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid simulation request:")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "names, unknown",
         [
@@ -186,6 +194,20 @@ class TestDseErrorPaths:
         # SweepSpec surfaces eagerly before any simulation starts.
         assert main(["dse", "--p-node", "0", "--workers", "0"]) == 2
         assert "invalid sweep" in capsys.readouterr().err
+
+    def test_unit_count_beyond_int64_exits_with_error(self, capsys):
+        code = main(
+            [
+                "dse", "--workers", "0", "--models", "GCN", "--datasets", "MolHIV",
+                "--num-graphs", "2", "--no-board-filter", "--p-node", str(2**63),
+                "--p-edge", "1", "--p-apply", "1", "--p-scatter", "1",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid sweep:")
+        assert len(captured.err.splitlines()) == 1
 
     def test_infeasible_grid_reports_skips_without_crashing(self, capsys):
         # Every configuration blows past the Alveo U50: the sweep must

@@ -1,6 +1,8 @@
 """Tests for the design-space exploration engine (``repro.dse``)."""
 
 import dataclasses
+import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -8,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.dse.cache as dse_cache
 import repro.dse.runner as dse_runner
 from repro.arch import ALVEO_U50, ArchitectureConfig, FlowGNNAccelerator, schedule_layer
 from repro.arch.config import PipelineStrategy
 from repro.datasets import load_dataset
+from repro.dse import fastpath
 from repro.dse import (
     ScheduleCache,
     SweepRunner,
@@ -94,6 +98,47 @@ EDGE_CASE_CONFIGS = [
     ArchitectureConfig(num_nt_units=1, num_mp_units=1, nt_overhead_cycles=0, edge_overhead_cycles=0),
 ]
 
+# Layout weights: an NT interval and an edge latency, zero included.
+weight_pairs = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=4)
+
+
+def edges_graph(num_nodes, edges):
+    return Graph(num_nodes=num_nodes, edge_index=np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def scatter_points(graph, num_nt, num_mp):
+    """``(pos, left)`` of every edge, straight from the definition: ``left``
+    counts the edges of its destination bank at positions ``>= pos``."""
+    edges = [(src // num_nt, dst % num_mp) for src, dst in graph.edge_index.tolist()]
+    return [
+        (pos, sum(1 for other, other_bank in edges if other_bank == bank and other >= pos))
+        for pos, bank in edges
+    ]
+
+
+def tie_weights(points):
+    """For every two staircase points, the weights at which they tie and
+    weights just to either side: each vertex of the upper-right chain is
+    the only maximum for one of them."""
+    staircase = {p for p in points if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in points)}
+    for (x0, y0), (x1, y1) in itertools.combinations(sorted(staircase), 2):
+        a, b = abs(y1 - y0), abs(x1 - x0)
+        yield from ((a, b), (1000 * a + 1, 1000 * b), (1000 * a, 1000 * b + 1))
+
+
+def gather_points(graph, num_nt, num_mp):
+    """``(left, prefix)`` of every node: the nodes of its NT unit from it on,
+    and the in-degrees of its MP bank up to and including it."""
+    degrees = graph.in_degrees().tolist()
+    nodes = range(graph.num_nodes)
+    return [
+        (
+            sum(1 for u in nodes if u >= v and u % num_nt == v % num_nt),
+            sum(degrees[u] for u in nodes if u <= v and u % num_mp == v % num_mp),
+        )
+        for v in nodes
+    ]
+
 
 class TestSweepSpec:
     def test_point_enumeration_order_and_count(self, small_spec):
@@ -161,6 +206,17 @@ class TestGraphSignature:
         contiguous input still hashes the same bytes."""
         graph = Graph(num_nodes=3, edge_index=np.array([[0, 1], [1, 2], [2, 0], [2, 2]]))
         assert graph_signature(graph) == "398e55b02d33d6fb558a1ae42eab63236a012c2b"
+
+    def test_edgeless_graph_has_a_signature(self):
+        """A byte view of an empty edge list cannot be cast: the cached
+        simulator used to raise ``TypeError`` on any graph without edges."""
+        signatures = {graph_signature(Graph(num_nodes=n, edge_index=np.zeros((0, 2)))) for n in (0, 1, 2)}
+        assert len(signatures) == 3
+        model = build_model("GCN", input_dim=1)
+        graph = Graph(num_nodes=3, edge_index=np.zeros((0, 2)))
+        cached = FlowGNNAccelerator(model).run(graph)
+        reference = FlowGNNAccelerator(model, use_schedule_cache=False).run(graph)
+        assert cached.layer_timings == reference.layer_timings
 
     def test_transposed_edge_list_is_stored_row_major(self):
         """``np.stack([src, dst]).T`` is not C-contiguous; hashing it used to
@@ -236,6 +292,73 @@ class TestFastScheduler:
         for config in point_configs + point_configs:
             for spec in zoo_layer_specs():
                 assert fast_schedule_layer(graph, spec, config) == schedule_layer(graph, spec, config)
+
+    @differential_settings()
+    @given(graphs=st.lists(small_graphs(), min_size=2, max_size=2), config=configs)
+    @example(
+        graphs=[edges_graph(3, [[0, 1], [1, 2]]), edges_graph(4, [[3, 0], [3, 1], [3, 2], [0, 3]])],
+        config=EDGE_CASE_CONFIGS[0],
+    )
+    def test_bound_cache_shares_plans_across_graphs(self, graphs, config):
+        """One bound function keeps one plan per spec for every graph it
+        schedules: a plan that captured graph data would show on the second."""
+        bound = ScheduleCache().bind(config)
+        for graph in graphs:
+            for spec in zoo_layer_specs():
+                assert bound(graph, spec, config) == schedule_layer(graph, spec, config)
+
+    @differential_settings()
+    @given(graph=small_graphs(), num_nt=st.integers(1, 9), num_mp=st.integers(1, 9), weights=weight_pairs)
+    # A single edge; all edges in one bank; duplicate edges; self loops.
+    @example(graph=edges_graph(12, [[11, 5]]), num_nt=1, num_mp=9, weights=[(3, 7)])
+    @example(
+        graph=edges_graph(9, [[8, 0], [1, 3], [4, 6], [2, 0], [7, 3]]), num_nt=2, num_mp=3, weights=[(1, 1)]
+    )
+    @example(graph=edges_graph(4, [[1, 2], [1, 2], [1, 2], [3, 0]]), num_nt=1, num_mp=2, weights=[(1, 10**6)])
+    @example(graph=edges_graph(5, [[0, 0], [2, 2], [4, 4], [4, 4]]), num_nt=2, num_mp=2, weights=[(10**6, 1)])
+    def test_layout_hull_matches_every_point(self, graph, num_nt, num_mp, weights):
+        """A bank layout's chain reaches the maximum of ``a * x + b * y``
+        over every edge (scatter) or node (gather) for any ``a, b >= 0``;
+        it is a staircase of real points, in Python ints."""
+        layouts = []
+        if graph.num_edges:
+            layouts.append(
+                (fastpath._scatter_layout(graph, num_nt, num_mp), scatter_points(graph, num_nt, num_mp))
+            )
+        if graph.num_nodes:
+            layouts.append((fastpath._gather_layout(graph, num_nt, num_mp), gather_points(graph, num_nt, num_mp)))
+        for hull, points in layouts:
+            assert set(hull) <= set(points)
+            assert all(type(value) is int for point in hull for value in point)
+            assert all(x0 < x1 and y0 > y1 for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+            for a, b in [*weights, (0, 0), (1, 0), (0, 1), *tie_weights(points)]:
+                assert max(a * x + b * y for x, y in hull) == max(a * x + b * y for x, y in points)
+
+    def test_sparse_banks_keep_layout_memory_linear_in_edges(self):
+        """One MP bank per node and one node per position: a dense bank x
+        position table would hold 3000**2 counts (72 MB)."""
+        graph = edges_graph(3000, [[2999, 0], [0, 2999], [1500, 1500]])
+        tracemalloc.start()
+        try:
+            hull = fastpath._scatter_layout(graph, 1, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hull == ((2999, 1),)
+        assert peak < 1 << 20
+
+    def test_int64_max_unit_counts_schedule_one_node_per_unit(self, molhiv):
+        """At 2**63 - 1 NT and MP units every node has its own unit and
+        bank, exactly as with one unit per node."""
+        graph = molhiv[0]
+        units = graph.num_nodes
+        largest = ArchitectureConfig(num_nt_units=2**63 - 1, num_mp_units=2**63 - 1)
+        one_per_node = ArchitectureConfig(num_nt_units=units, num_mp_units=units)
+        for spec in zoo_layer_specs():
+            timing = fast_schedule_layer(graph, spec, largest)
+            assert dataclasses.replace(timing, nt_units=units, mp_units=units) == schedule_layer(
+                graph, spec, one_per_node
+            )
 
     def test_non_flowgnn_strategies_fall_through(self, molhiv):
         model = build_model("GCN", input_dim=molhiv.node_feature_dim)
@@ -325,6 +448,56 @@ class TestScheduleCache:
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
         assert cache.hit_rate == 0.0
+
+
+class TestLayerPlans:
+    def test_traced_scheduler_sees_every_miss_and_plan(self, small_spec, monkeypatch):
+        """A wrapper on ``repro.dse.cache.fast_schedule_layer``, as perfbench's
+        traced run installs, sees every miss, and every plan is built inside
+        one of its calls."""
+        scheduler = dse_cache.fast_schedule_layer
+        plan = fastpath.layer_plan
+        running = []  # one flag per call, True while the call runs
+        plans_outside = []
+
+        def traced(*args, **kwargs):
+            running.append(True)
+            try:
+                return scheduler(*args, **kwargs)
+            finally:
+                running[-1] = False
+
+        def tracked_plan(spec, config):
+            if not (running and running[-1]):
+                plans_outside.append(spec)
+            return plan(spec, config)
+
+        monkeypatch.setattr(dse_cache, "fast_schedule_layer", traced)
+        monkeypatch.setattr(fastpath, "layer_plan", tracked_plan)
+        result = SweepRunner(small_spec, workers=0).run()
+        assert len(running) == result.cache_info["misses"] > 0
+        assert plans_outside == []
+
+    def test_one_plan_per_point_and_distinct_spec(self, monkeypatch):
+        """A point builds one plan per distinct spec and shares it across
+        its graphs (GAT has two distinct specs, GCN one)."""
+        plan = fastpath.layer_plan
+        built = []
+        monkeypatch.setattr(fastpath, "layer_plan", lambda spec, config: built.append(spec) or plan(spec, config))
+        spec = SweepSpec(
+            models=("GCN", "GAT"),
+            grid={"num_nt_units": (1, 2), "num_mp_units": (1, 3)},
+            num_graphs=2,
+            board=None,
+        )
+        result = SweepRunner(spec, workers=0).run()
+        dataset = load_dataset("MolHIV", num_graphs=1)
+        distinct_specs = sum(
+            len(set(build_model(name, input_dim=dataset.node_feature_dim).layer_specs())) for name in ("GCN", "GAT")
+        )
+        assert distinct_specs == 3
+        assert len(built) == len(list(spec.configs())) * distinct_specs
+        assert result.cache_info["misses"] == 2 * len(built)
 
 
 class TestSweepRunner:
