@@ -189,10 +189,10 @@ def _scatter_layout(graph: Graph, num_nt: int, num_mp: int) -> Hull:
     """Chain of the points ``(pos, left)`` of a graph with edges.
 
     ``left`` counts the edges of one destination bank at positions ``>=
-    pos``; per position only the largest count over banks matters.  The
-    dense table also takes banks without an edge at ``pos``: such a count
-    equals that of the bank's next edge, at a larger position, so the
-    staircase drops it.
+    pos``; per position only the largest count over banks matters.  With
+    the edges sorted by (bank, position), those of a bank at or after the
+    ``i``-th run from ``i`` to the bank's end; edges of equal position and
+    bank share the count of the first, the largest of theirs.
     """
     key = (_SCATTER_SLOT, num_nt, num_mp)
     layout = graph._degree_cache.get(key)
@@ -200,19 +200,10 @@ def _scatter_layout(graph: Graph, num_nt: int, num_mp: int) -> Hull:
         positions = graph.sources // num_nt
         banks = graph.destinations % num_mp
         width = int(positions.max()) + 1
-        rows = min(num_mp, graph.num_nodes)
-        # A dense bank x position table takes the fewest numpy calls, but
-        # with many banks of few edges each it would dwarf the graph: past
-        # 16 counts per edge, sort the edges instead.
-        if rows * width <= 16 * graph.num_edges:
-            counts = np.bincount(banks * width + positions, minlength=rows * width)
-            suffix = counts.reshape(rows, width)[:, ::-1].cumsum(axis=1)[:, ::-1]
-            best = suffix.max(axis=0)
-        else:
-            keys = np.sort(banks * width + positions)
-            bank_ends = np.searchsorted(keys, keys - keys % width + width)
-            best = np.zeros(width, dtype=np.int64)
-            np.maximum.at(best, keys % width, bank_ends - np.searchsorted(keys, keys))
+        sorted_banks, sorted_positions = np.divmod(np.sort(banks * width + positions), width)
+        left = np.bincount(banks).cumsum()[sorted_banks] - np.arange(graph.num_edges)
+        best = np.zeros(width, dtype=np.int64)
+        np.maximum.at(best, sorted_positions, left)
         layout = _hull(best)
         graph._degree_cache[key] = layout
     return layout
