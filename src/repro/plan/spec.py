@@ -17,6 +17,7 @@ fails when the spec is constructed, before any simulation starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Tuple
 
@@ -240,8 +241,8 @@ class PlanSpec:
                 )
         if any(size < 1 for size in self.max_batch_sizes):
             raise ValueError("every max_batch_size must be >= 1")
-        if any(timeout < 0 for timeout in self.batch_timeouts_s):
-            raise ValueError("every batch timeout must be >= 0")
+        if not all(0 <= timeout < math.inf for timeout in self.batch_timeouts_s):
+            raise ValueError("every batch timeout must be finite and >= 0")
         if any(
             capacity is not None and capacity < 1
             for capacity in self.queue_capacities

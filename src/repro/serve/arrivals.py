@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -59,6 +60,7 @@ _DIURNAL_DRAW = 8192
 
 __all__ = [
     "ServingRequest",
+    "REQUEST_ORDER",
     "RequestBlock",
     "ArrivalProcess",
     "ConstantArrivals",
@@ -89,6 +91,10 @@ class ServingRequest:
         if self.deadline_s is None:
             return math.inf
         return self.arrival_s + self.deadline_s
+
+
+#: The ``(arrival_s, tenant_index, index)`` key every serving path orders requests by.
+REQUEST_ORDER = operator.attrgetter("arrival_s", "tenant_index", "index")
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,11 @@ class CarbonIntensity:
         """Load a trace from a CSV with ``time_s`` and ``intensity`` columns."""
         times: List[float] = []
         values: List[float] = []
-        with open(path, newline="") as handle:
+        try:
+            handle = open(path, newline="")
+        except OSError as error:
+            raise ValueError(f"cannot read carbon CSV {path!r}: {error.strerror or error}") from None
+        with handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or time_column not in reader.fieldnames:
                 raise ValueError(f"carbon CSV {path!r} has no {time_column!r} column")

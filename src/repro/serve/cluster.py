@@ -51,7 +51,7 @@ from typing import (
 import numpy as np
 
 from ..api import Backend, InferenceRequest, Measurement, MeasurementCache, get_backend
-from .arrivals import ServingRequest
+from .arrivals import REQUEST_ORDER, ServingRequest
 from .autoscale import (
     AdmissionControl,
     Autoscaler,
@@ -64,7 +64,7 @@ from .carbon import CarbonIntensity
 from .faults import FaultSchedule
 from .power import PowerModel
 from .report import (
-    ServingRecord,
+    RECORD_COLUMNS,
     ServingReport,
     assemble_report,
     assemble_sketch_report,
@@ -116,7 +116,7 @@ class TenantService:
         self._backend = backend
         self._cache = cache
         self.resolved = workload.request.resolve()
-        self._by_batch: Dict[int, Measurement] = {}
+        self._by_batch: Dict[int, Tuple[Measurement, List[float], List[float]]] = {}
         self._base = self.measurement(workload.request.batch_size)
 
     def _request_at(self, batch_size: int) -> InferenceRequest:
@@ -166,22 +166,21 @@ class TenantService:
 
     def measurement(self, batch_size: int = 1) -> Measurement:
         """The backend's profile when requests are batched ``batch_size`` deep."""
+        return self.profile(batch_size)[0]
+
+    def profile(self, batch_size: int) -> Tuple[Measurement, List[float], List[float]]:
+        """``(measurement, latencies, energies)`` at ``batch_size``: the lists
+        are its per-graph arrays as Python floats (``tolist()``, the doubles
+        ``float(arr[i])`` gives), which dispatch indexes per request."""
         cached = self._by_batch.get(batch_size)
         if cached is None:
-            cached = self._measure_profile(batch_size)
-            self._by_batch[batch_size] = cached
+            measured = self._measure_profile(batch_size)
+            lists = (measured.latencies_s.tolist(), measured.energies_j.tolist())
+            cached = self._by_batch[batch_size] = (measured, *lists)
         return cached
 
-    def latencies_s(self, batch_size: int = 1) -> np.ndarray:
-        """Per-graph service latencies at ``batch_size``."""
-        return self.measurement(batch_size).latencies_s
-
-    def energies_j(self, batch_size: int = 1) -> np.ndarray:
-        """Per-graph energies at ``batch_size`` (batching amortises overhead)."""
-        return self.measurement(batch_size).energies_j
-
     def service_s(self, graph_index: int, batch_size: int = 1) -> float:
-        return float(self.latencies_s(batch_size)[graph_index])
+        return float(self.measurement(batch_size).latencies_s[graph_index])
 
     def mean_service_s(self) -> float:
         return float(self._base.latencies_s.mean()) if self._base.latencies_s.size else 0.0
@@ -190,18 +189,21 @@ class TenantService:
 # ---------------------------------------------------------------------------
 # Dispatch policies
 # ---------------------------------------------------------------------------
-@dataclass
 class _QueueItem:
-    """A pending request plus the cluster's dispatch bookkeeping."""
+    """A pending request plus the cluster's dispatch bookkeeping: ``seq`` is
+    the global arrival order, ``service_s`` the batch-1 service time
+    (backlog estimates), ``replica`` the pinned replica (None = any), and
+    ``late`` is ``(release instant, 0, release count)`` once a carbon hold
+    queues the request late (see ``_Lanes.drain``)."""
 
-    request: ServingRequest
-    seq: int                        # global arrival order
-    service_s: float                # batch-1 service time (backlog estimates)
-    replica: Optional[int] = None   # pinned replica, None = any
-    # ``(release instant, 0, release count)`` once a carbon hold queues the
-    # request late (see ``_Lanes.drain``).  A plain class attribute, not a
-    # field, so the requests queued at arrival carry nothing for it.
-    late = None
+    __slots__ = ("request", "seq", "service_s", "replica", "late")
+
+    def __init__(self, request: ServingRequest, seq: int, service_s: float, replica: Optional[int] = None) -> None:
+        self.request = request
+        self.seq = seq
+        self.service_s = service_s
+        self.replica = replica
+        self.late: Optional[Tuple[float, int, int]] = None
 
 
 class DispatchPolicy(ABC):
@@ -386,18 +388,37 @@ class _SimState:
 
 
 class _ExactSink:
-    """Collects full per-request records (the historical, array-backed path)."""
+    """Keeps every completion as a row of seven per-request columns, in
+    :data:`~repro.serve.report.RECORD_COLUMNS` order; a dispatched batch
+    extends all seven at once."""
 
-    __slots__ = ("records", "batch_sizes", "dropped", "shed")
+    __slots__ = ("columns", "batch_sizes", "dropped", "shed")
 
     def __init__(self) -> None:
-        self.records: List[ServingRecord] = []
+        self.columns: Tuple[list, ...] = tuple([] for _ in RECORD_COLUMNS)
         self.batch_sizes: List[int] = []
         self.dropped: List[ServingRequest] = []
         self.shed: List[ServingRequest] = []
 
-    def on_batch(self, size: int) -> None:
+    def on_batch(
+        self,
+        batch: List[_QueueItem],
+        services: List[float],
+        energies: List[float],
+        start_s: float,
+        end_s: float,
+        replica: int,
+    ) -> None:
+        size = len(batch)
         self.batch_sizes.append(size)
+        requests, service, energy, starts, ends, replicas, sizes = self.columns
+        requests.extend([item.request for item in batch])
+        service.extend(services)
+        energy.extend(energies)
+        starts.extend([start_s] * size)
+        ends.extend([end_s] * size)
+        replicas.extend([replica] * size)
+        sizes.extend([size] * size)
 
     def on_admit(self, request: ServingRequest) -> None:
         pass
@@ -407,28 +428,6 @@ class _ExactSink:
 
     def on_shed(self, request: ServingRequest) -> None:
         self.shed.append(request)
-
-    def on_record(
-        self,
-        item: _QueueItem,
-        service_s: float,
-        energy_j: float,
-        start_s: float,
-        completion_s: float,
-        replica: int,
-        batch_size: int,
-    ) -> None:
-        self.records.append(
-            ServingRecord(
-                request=item.request,
-                service_s=service_s,
-                energy_j=energy_j,
-                start_s=start_s,
-                completion_s=completion_s,
-                replica=replica,
-                batch_size=batch_size,
-            )
-        )
 
 
 class _SketchSink:
@@ -444,10 +443,11 @@ class _SketchSink:
     Per-tenant queue depth mirrors
     :func:`~repro.graph.queue_depths_at_arrivals` exactly: at each admission
     the depth is the number of earlier admissions minus the tenant's
-    completions at or before the arrival, read off a min-heap of completion
-    times.  By admission time every such completion has already been
-    dispatched (a completion at ``t`` was dispatched no later than ``t``),
-    so the heap always holds what the exact path's sorted array would.
+    completions at or before the arrival, read off a min-heap of
+    ``(completion time, batch size)`` entries.  By admission time every such
+    completion has already been dispatched (a completion at ``t`` was
+    dispatched no later than ``t``), so the heap always holds what the exact
+    path's sorted array would.
     """
 
     __slots__ = (
@@ -483,33 +483,28 @@ class _SketchSink:
         self.max_shed_arrival_s = -math.inf
         self._qd_arrived = {w.tenant: 0 for w in cluster.workloads}
         self._qd_popped = {w.tenant: 0 for w in cluster.workloads}
-        self._qd_heaps: Dict[str, List[float]] = {w.tenant: [] for w in cluster.workloads}
+        self._qd_heaps: Dict[str, List[Tuple[float, int]]] = {w.tenant: [] for w in cluster.workloads}
 
-    def on_batch(self, size: int) -> None:
-        self.batch_hist.update(float(size))
-
-    def on_record(
+    def on_batch(
         self,
-        item: _QueueItem,
-        service_s: float,
-        energy_j: float,
+        batch: List[_QueueItem],
+        services: List[float],
+        energies: List[float],
         start_s: float,
-        completion_s: float,
+        end_s: float,
         replica: int,
-        batch_size: int,
     ) -> None:
-        request = item.request
-        self.sketches[request.tenant].observe(
-            latency_s=completion_s - request.arrival_s,
-            service_s=service_s,
-            energy_j=energy_j,
-            replica=replica,
-            batch_size=batch_size,
-        )
-        heapq.heappush(self._qd_heaps[request.tenant], completion_s)
-        if completion_s > self.max_completion_s:
-            self.max_completion_s = completion_s
-        if self.items is not None:
+        """Fold one dispatched (single-tenant) batch into its tenant's sketch."""
+        size = len(batch)
+        self.batch_hist.update(float(size))
+        tenant = batch[0].request.tenant
+        latencies = [end_s - item.request.arrival_s for item in batch]
+        self.sketches[tenant].observe_batch(latencies, services, energies, replica, size)
+        # One heap entry per batch: its members all complete together.
+        heapq.heappush(self._qd_heaps[tenant], (end_s, size))
+        if end_s > self.max_completion_s:
+            self.max_completion_s = end_s
+        for item in batch:
             del self.items[item.seq]
 
     def on_admit(self, request: ServingRequest) -> None:
@@ -518,9 +513,8 @@ class _SketchSink:
         heap = self._qd_heaps[tenant]
         arrival = request.arrival_s
         popped = self._qd_popped[tenant]
-        while heap and heap[0] <= arrival:
-            heapq.heappop(heap)
-            popped += 1
+        while heap and heap[0][0] <= arrival:
+            popped += heapq.heappop(heap)[1]
         self._qd_popped[tenant] = popped
         arrived = self._qd_arrived[tenant]
         self.sketches[tenant].queue.update(float(arrived - popped))
@@ -638,8 +632,8 @@ class Cluster:
             raise ValueError("num_replicas must be >= 1")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.batch_timeout_s < 0:
-            raise ValueError("batch_timeout_s must be >= 0")
+        if not 0 <= self.batch_timeout_s < math.inf:
+            raise ValueError("batch_timeout_s must be finite and >= 0")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
         if isinstance(self.autoscaler, str):
@@ -713,8 +707,8 @@ class Cluster:
                 raise ValueError("max_batch_size must be >= 1")
             clone.max_batch_size = int(max_batch_size)
         if batch_timeout_s is not None:
-            if batch_timeout_s < 0:
-                raise ValueError("batch_timeout_s must be >= 0")
+            if not 0 <= batch_timeout_s < math.inf:
+                raise ValueError("batch_timeout_s must be finite and >= 0")
             clone.batch_timeout_s = float(batch_timeout_s)
         if queue_capacity is not ...:
             if queue_capacity is not None and queue_capacity < 1:
@@ -776,8 +770,8 @@ class Cluster:
         busy = 0.0
         for service in self.services.values():
             base = service.base_batch_size
-            energy += float(service.energies_j(base).sum())
-            busy += float(service.latencies_s(base).sum())
+            energy += float(service.measurement(base).energies_j.sum())
+            busy += float(service.measurement(base).latencies_s.sum())
         if busy <= 0.0:
             return PowerModel.from_busy(0.0)
         return PowerModel.from_energy(energy, busy)
@@ -802,10 +796,10 @@ class Cluster:
 
         ``mode`` selects the sink of the one event loop (:meth:`_serve_loop`).
         ``"exact"`` (the default and the oracle) sorts ``requests`` and
-        stores per-request records and arrays; ``"sketch"`` folds every
-        completion into O(tenants + replicas) online accumulators — same
-        loop, same floats for counts, drops and utilisation, P²-estimated
-        percentiles — and consumes ``requests`` as a stream that must
+        keeps each completion as a row of per-request columns; ``"sketch"``
+        folds every completion into O(tenants + replicas) online accumulators
+        — same loop, same floats for counts, drops and utilisation,
+        P²-estimated percentiles — and consumes ``requests`` as a stream that must
         already be sorted by ``(arrival_s, tenant_index, index)`` (what
         :meth:`LoadGenerator.iter_requests` yields; unsorted input raises
         ``ValueError``), never holding more than the queued backlog in
@@ -831,9 +825,7 @@ class Cluster:
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
         if mode == "exact":
-            requests = sorted(
-                requests, key=lambda r: (r.arrival_s, r.tenant_index, r.index)
-            )
+            requests = sorted(requests, key=REQUEST_ORDER)
         return self._serve_loop(iter(requests), duration_s, mode)
 
     def serve_stream(
@@ -902,11 +894,12 @@ class Cluster:
 
         Arrivals are pulled from ``request_iter`` (sorted by ``(arrival_s,
         tenant_index, index)``) one ahead of the time-ordered event heap, so
-        the heap holds at most one future arrival.  ``mode`` picks the sink:
-        exact mode keeps every record and a queue sample per instant, sketch
-        mode folds completions into a :class:`_SketchSink` and retires
-        finished items, so memory is the queued backlog, not the request
-        count.
+        the heap holds at most one future arrival.  ``mode`` picks the sink,
+        which takes each dispatched batch whole: exact mode keeps every
+        completion as a row of per-request columns and a queue sample per
+        instant, sketch mode folds completions into a :class:`_SketchSink`
+        and retires finished items, so memory is the queued backlog, not the
+        request count.
 
         A static cluster is this loop with no control plane.  A dynamic one
         adds events to the same heap: ``_FAIL``/``_RECOVER`` from the fault
@@ -923,7 +916,7 @@ class Cluster:
         the report only when ``self.dynamic``, so a static report (and its
         JSON) carries none of them.
 
-        Crash semantics: records are emitted at dispatch time (and sketches
+        Crash semantics: rows are emitted at dispatch time (and sketches
         cannot retract an observation), so a replica's in-flight batch
         completes even when the replica fails mid-batch — a ``fail`` kills
         the replica's future, not its present.  Queued requests pinned to it
@@ -1221,7 +1214,7 @@ class Cluster:
                         state.live.remove(replica)
                         reroute(replica)
                     # A failed replica draws nothing from the fail instant,
-                    # even mid-batch (the batch's records were already
+                    # even mid-batch (the batch's rows were already
                     # emitted at dispatch; its silicon is simply off).
                     if power_model is not None:
                         power_set(now, replica, 0.0)
@@ -1255,15 +1248,19 @@ class Cluster:
                 if held:
                     release_held(now)
 
+        # Each tenant's service times at its declared batch size, by graph.
+        base_latencies = {t: s.profile(s.base_batch_size)[1] for t, s in self.services.items()}
+
         def pull() -> None:
             """Admit the next request of the stream into the event heap."""
             nonlocal next_seq, prev_key
             request = next(request_iter, None)
             if request is None:
                 return
-            if request.tenant not in self.services:
+            latencies = base_latencies.get(request.tenant)
+            if latencies is None:
                 raise ValueError(f"request for unknown tenant {request.tenant!r}")
-            key = (request.arrival_s, request.tenant_index, request.index)
+            key = REQUEST_ORDER(request)
             if prev_key is not None and key < prev_key:
                 raise ValueError(
                     "sketch-mode serve requires requests sorted by "
@@ -1271,14 +1268,7 @@ class Cluster:
                     "LoadGenerator.iter_requests or sort the sequence"
                 )
             prev_key = key
-            service = self.services[request.tenant]
-            items[next_seq] = _QueueItem(
-                request=request,
-                seq=next_seq,
-                service_s=service.service_s(
-                    request.graph_index, batch_size=service.base_batch_size
-                ),
-            )
+            items[next_seq] = _QueueItem(request, next_seq, latencies[request.graph_index])
             heapq.heappush(events, (request.arrival_s, _ARRIVAL, next_seq))
             next_seq += 1
 
@@ -1416,7 +1406,7 @@ class Cluster:
         if exact:
             return assemble_report(
                 cluster=self,
-                records=sink.records,
+                columns=sink.columns,
                 dropped=sink.dropped,
                 busy_time=busy_time,
                 batch_sizes=sink.batch_sizes,
@@ -1481,15 +1471,13 @@ class Cluster:
 
         # Padded per-tenant service/energy lookup tables at the declared
         # batch size (what a batch-1 dispatch measures at).
-        services = [self.services[w.tenant] for w in workloads]
-        pool_sizes = [service.latencies_s(service.base_batch_size).size for service in services]
-        width = max(pool_sizes) if pool_sizes else 1
+        profiles = [self.services[w.tenant].base for w in workloads]
+        width = max((measured.latencies_s.size for measured in profiles), default=1)
         lat_lut = np.zeros((num_tenants, width), dtype=np.float64)
         energy_lut = np.zeros((num_tenants, width), dtype=np.float64)
-        for t, service in enumerate(services):
-            base = service.base_batch_size
-            lat_lut[t, : pool_sizes[t]] = service.latencies_s(base)
-            energy_lut[t, : pool_sizes[t]] = service.energies_j(base)
+        for t, measured in enumerate(profiles):
+            lat_lut[t, : measured.latencies_s.size] = measured.latencies_s
+            energy_lut[t, : measured.energies_j.size] = measured.energies_j
 
         sink = _SketchSink(self, items=None)
         sketches = [sink.sketches[w.tenant] for w in workloads]
@@ -1679,24 +1667,20 @@ class Cluster:
             for item in batch:
                 if item.replica is not None:
                     state.queued_work[item.replica] -= item.service_s
-            tenant = batch[0].request.tenant
-            size = len(batch)
+            service = self.services[batch[0].request.tenant]
             # With dynamic batching enabled the dispatch size governs the
             # measurement; otherwise the workload's declared batch size does
             # (e.g. "my requests come pre-batched 8 deep"), which is exactly
             # what run_stream assumes — the single-replica equivalence holds
             # at any declared batch size.
-            measure_at = (
-                size
-                if self.max_batch_size > 1
-                else self.services[tenant].base_batch_size
+            _, latencies, energies = service.profile(
+                len(batch) if self.max_batch_size > 1 else service.base_batch_size
             )
-            measured = self.services[tenant].measurement(batch_size=measure_at)
-            latencies = measured.latencies_s
+            graphs = [item.request.graph_index for item in batch]
             # A degraded replica stretches service time (energy is the work
             # done, which does not change).
             factor = factors[replica]
-            service_each = [float(latencies[item.request.graph_index]) * factor for item in batch]
+            service_each = [latencies[g] * factor for g in graphs]
             finish = now
             for service_s in service_each:
                 finish = finish + service_s
@@ -1705,18 +1689,10 @@ class Cluster:
             busy_time[replica] += service_total
             if power_busy is not None:
                 power_busy(now, replica)
-            sink.on_batch(size)
             heapq.heappush(events, (finish, _COMPLETION, replica))
-            for item, service_s in zip(batch, service_each):
-                sink.on_record(
-                    item,
-                    service_s=service_s,
-                    energy_j=float(measured.energies_j[item.request.graph_index]),
-                    start_s=now,
-                    completion_s=finish,
-                    replica=replica,
-                    batch_size=size,
-                )
+            sink.on_batch(
+                batch, service_each, [energies[g] for g in graphs], now, finish, replica
+            )
 
     def _select_batch(
         self, lanes: "_Lanes", replica: int, now: float

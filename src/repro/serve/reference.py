@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .autoscale import AutoscalerMetrics, CarbonWaitingAdmission
-from .arrivals import ServingRequest
+from .arrivals import REQUEST_ORDER, ServingRequest
 from .cluster import (
     _ACTIVE,
     _ARRIVAL,
@@ -41,7 +41,7 @@ from .cluster import (
     _QueueItem,
     _SimState,
 )
-from .report import ServingRecord, ServingReport, assemble_report
+from .report import RECORD_COLUMNS, ServingRecord, ServingReport, assemble_report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import Cluster
@@ -169,9 +169,7 @@ def reference_serve(
                 batch_size=cluster.services[request.tenant].base_batch_size,
             ),
         )
-        for seq, request in enumerate(
-            sorted(requests, key=lambda r: (r.arrival_s, r.tenant_index, r.index))
-        )
+        for seq, request in enumerate(sorted(requests, key=REQUEST_ORDER))
     ]
 
     num_initial = cluster.num_replicas
@@ -537,7 +535,7 @@ def reference_serve(
         }
     return assemble_report(
         cluster=cluster,
-        records=records,
+        columns=[[getattr(record, name) for record in records] for name in RECORD_COLUMNS],
         dropped=dropped,
         busy_time=busy_time,
         batch_sizes=batch_sizes,

@@ -18,7 +18,8 @@ layer adds multiplexing, never a different cycle model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "ServingRecord",
+    "RECORD_COLUMNS",
     "TenantOutcome",
     "SketchTenantReport",
     "ServingReport",
@@ -63,6 +65,10 @@ class ServingRecord:
     def latency_s(self) -> float:
         """End-to-end latency: queueing + batching delay + service."""
         return self.completion_s - self.request.arrival_s
+
+
+#: The per-request columns an exact run keeps, in ``ServingRecord`` field order.
+RECORD_COLUMNS = tuple(f.name for f in fields(ServingRecord))
 
 
 @dataclass
@@ -190,7 +196,12 @@ class TenantOutcome:
 
 @dataclass
 class ServingReport:
-    """Uniform result of one :meth:`Cluster.serve` run."""
+    """Uniform result of one :meth:`Cluster.serve` run.
+
+    An exact run keeps each completed request, in dispatch order, as a row of
+    ``record_columns`` (:data:`RECORD_COLUMNS`); :attr:`records` builds the
+    :class:`ServingRecord` list from them each time it is read.
+    """
 
     backend: str
     policy: str
@@ -203,7 +214,7 @@ class ServingReport:
     batch_sizes: np.ndarray
     queue_depth_times_s: np.ndarray
     queue_depth_trace: np.ndarray
-    records: List[ServingRecord] = field(default_factory=list, repr=False)
+    record_columns: Optional[Tuple[list, ...]] = field(default=None, repr=False)
     dropped_requests: List[ServingRequest] = field(default_factory=list, repr=False)
     #: "exact" (array-backed, the oracle) or "sketch" (online accumulators).
     mode: str = "exact"
@@ -233,6 +244,13 @@ class ServingReport:
     carbon_gco2: Optional[float] = None
 
     # -- cluster-level accessors ----------------------------------------------
+    @property
+    def records(self) -> List[ServingRecord]:
+        """Every completed request, in dispatch order (sketch mode: none)."""
+        if self.record_columns is None:
+            return []
+        return [ServingRecord(*row) for row in zip(*self.record_columns)]
+
     @property
     def tenant_reports(self) -> Dict[str, InferenceReport]:
         return {name: outcome.report for name, outcome in self.tenants.items()}
@@ -401,7 +419,7 @@ class ServingReport:
 
 def assemble_report(
     cluster: "Cluster",
-    records: Sequence[ServingRecord],
+    columns: Sequence[list],
     dropped: Sequence[ServingRequest],
     busy_time: Sequence[float],
     batch_sizes: Sequence[int],
@@ -415,14 +433,16 @@ def assemble_report(
     event_counts: Optional[Dict[str, int]] = None,
     power_state: Optional[Tuple] = None,
 ) -> ServingReport:
-    """Build the :class:`ServingReport` from raw simulation records.
+    """Build the :class:`ServingReport` from the per-request columns.
 
-    Aggregation is vectorised: the record attributes are pulled into flat
-    numpy arrays in one pass, and every per-tenant view (latency sample,
-    completion ordering, replica set, batch-size mean) is a mask + stable
-    argsort over those arrays rather than per-tenant Python loops.  The
-    values are bit-identical to the loop formulation — same floats, same
-    (request-index) ordering — which the serving contract tests pin.
+    ``columns`` are the seven :data:`RECORD_COLUMNS` lists, one row per
+    completed request, and the report keeps them.  Aggregation is
+    vectorised: each column becomes one numpy array, and every per-tenant
+    view (latency sample, completion ordering, replica set, batch-size
+    mean) is a mask + stable argsort over those arrays rather than
+    per-tenant Python loops.  The values are bit-identical to the loop
+    formulation — same floats, same (request-index) ordering — which the
+    serving contract tests pin.
 
     The event loop also passes the shed-request list (empty on a static
     cluster) and, on a dynamic cluster only, the rented replica-count
@@ -430,39 +450,19 @@ def assemble_report(
     last_change_s, rented)`` — finalised here once the horizon is known —
     and the lifecycle event counters.
     """
-    num_records = len(records)
-    completions_all = np.fromiter(
-        (record.completion_s for record in records), dtype=np.float64, count=num_records
-    )
-    arrivals_all = np.fromiter(
-        (record.request.arrival_s for record in records),
-        dtype=np.float64,
-        count=num_records,
-    )
-    service_all = np.fromiter(
-        (record.service_s for record in records), dtype=np.float64, count=num_records
-    )
-    energy_all = np.fromiter(
-        (record.energy_j for record in records), dtype=np.float64, count=num_records
-    )
-    replica_all = np.fromiter(
-        (record.replica for record in records), dtype=np.int64, count=num_records
-    )
-    batch_all = np.fromiter(
-        (record.batch_size for record in records), dtype=np.int64, count=num_records
-    )
-    request_index_all = np.fromiter(
-        (record.request.index for record in records), dtype=np.int64, count=num_records
-    )
+    requests, service_col, energy_col, _, completion_col, replica_col, batch_col = columns
+    completions_all = np.array(completion_col, dtype=np.float64)
+    arrivals_all = np.array([request.arrival_s for request in requests], dtype=np.float64)
+    service_all = np.array(service_col, dtype=np.float64)
+    energy_all = np.array(energy_col, dtype=np.float64)
+    replica_all = np.array(replica_col, dtype=np.int64)
+    batch_all = np.array(batch_col, dtype=np.int64)
+    request_index_all = np.array([request.index for request in requests], dtype=np.int64)
     tenant_position = {w.tenant: i for i, w in enumerate(cluster.workloads)}
-    tenant_all = np.fromiter(
-        (tenant_position[record.request.tenant] for record in records),
-        dtype=np.int64,
-        count=num_records,
-    )
+    tenant_all = np.array([tenant_position[request.tenant] for request in requests], dtype=np.int64)
 
     horizon_candidates = [duration_s or 0.0]
-    if num_records:
+    if requests:
         horizon_candidates.append(float(completions_all.max()))
     if dropped:
         horizon_candidates.append(max(request.arrival_s for request in dropped))
@@ -479,12 +479,8 @@ def assemble_report(
         else np.zeros(len(busy_time))
     )
 
-    dropped_by_tenant: Dict[str, int] = {w.tenant: 0 for w in cluster.workloads}
-    for request in dropped:
-        dropped_by_tenant[request.tenant] += 1
-    shed_by_tenant: Dict[str, int] = {w.tenant: 0 for w in cluster.workloads}
-    for request in shed:
-        shed_by_tenant[request.tenant] += 1
+    dropped_by_tenant = Counter(request.tenant for request in dropped)
+    shed_by_tenant = Counter(request.tenant for request in shed)
 
     tenants: Dict[str, TenantOutcome] = {}
     for position, workload in enumerate(cluster.workloads):
@@ -547,7 +543,7 @@ def assemble_report(
         batch_sizes=np.array(batch_sizes, dtype=np.int64),
         queue_depth_times_s=trace_times,
         queue_depth_trace=trace_depths,
-        records=list(records),
+        record_columns=tuple(columns),
         dropped_requests=list(dropped),
         shed_requests=list(shed),
         replica_count_times_s=replica_count_times_s,

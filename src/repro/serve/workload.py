@@ -10,6 +10,7 @@ knob fails when the workload is constructed, before any simulation starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -72,8 +73,8 @@ class Workload:
             raise ValueError("priority must be an int")
         if not self.share > 0:
             raise ValueError("share must be positive")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
+            raise ValueError("deadline_s must be finite and positive")
         if self.tenant_class not in TENANT_CLASSES:
             raise ValueError(
                 f"tenant_class must be one of {TENANT_CLASSES}, "

@@ -1,10 +1,16 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.plan import PlanSpec, TenantMix
+from repro.serve import CarbonIntensity, Cluster, Workload
 
 
 class TestParser:
@@ -792,3 +798,75 @@ class TestDynamicClusterFlags:
         )
         assert code == 2
         assert "sigmoid" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Non-finite serving inputs exit 2 with one stderr line
+# ---------------------------------------------------------------------------
+def _repro_in_subprocess(*args):
+    """``python -m repro ARGS`` in its own process under a 60 s budget, so a
+    run that spins fails on the timeout instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+_TINY_SERVE = ["serve", "--tenants", "1", "--backend", "cpu", "--num-requests", "10"]
+
+
+class TestNonFiniteServingInputs:
+    def test_nan_batch_timeout_serve_exits_2_instead_of_hanging(self):
+        proc = _repro_in_subprocess(
+            *_TINY_SERVE, "--max-batch", "4", "--batch-timeout-us", "nan", "--arrival", "bursty"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert "batch_timeout_s must be finite and >= 0" in proc.stderr
+
+    def test_nan_batch_timeout_plan_exits_2_instead_of_hanging(self):
+        proc = _repro_in_subprocess(
+            "plan", "--max-batch", "4", "--batch-timeout-us", "nan", "--replicas", "1"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert "every batch timeout must be finite and >= 0" in proc.stderr
+
+    def test_infinite_batch_timeout_is_rejected(self, capsys):
+        code = main(_TINY_SERVE + ["--max-batch", "4", "--batch-timeout-us", "inf", "--arrival", "bursty"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "batch_timeout_s must be finite" in err
+        cluster = Cluster([Workload("t", model="GIN", num_graphs=2)], backend="cpu")
+        mix = TenantMix("mix", [{"tenant": "t", "model": "GIN", "num_graphs": 2}])
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="batch_timeout_s must be finite"):
+                Cluster([Workload("t", model="GIN", num_graphs=2)], backend="cpu", batch_timeout_s=value)
+            with pytest.raises(ValueError, match="batch_timeout_s must be finite"):
+                cluster.with_options(batch_timeout_s=value)
+            with pytest.raises(ValueError, match="every batch timeout must be finite"):
+                PlanSpec(mixes=[mix], batch_timeouts_s=[value])
+
+    def test_non_finite_deadline_is_rejected(self, capsys):
+        code = main(_TINY_SERVE + ["--deadline-us", "nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "deadline_s must be finite and positive" in err
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="deadline_s must be finite and positive"):
+                Workload("t", model="GIN", num_graphs=2, deadline_s=value)
+
+    def test_missing_carbon_trace_exits_2_with_one_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code = main(_TINY_SERVE + ["--carbon-trace", f"trace:{missing}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read carbon CSV" in err
+        for path in (missing, str(tmp_path)):  # missing, and a directory
+            with pytest.raises(ValueError, match="cannot read carbon CSV"):
+                CarbonIntensity.from_csv(path)

@@ -1166,3 +1166,60 @@ def test_batch_timer_set_holds_only_pending_times(six_tenants, monkeypatch):
     report = cluster.serve_stream(LoadGenerator.bursty(tenants, rate, seed=0), num_requests=500)
     assert report.submitted == 2000 and report.mean_batch_size > 1.0
     assert max(stale) == 0, f"{max(stale)} fired timer times still in the set"
+
+
+# ---------------------------------------------------------------------------
+# A request is a row: float-list profiles, records built only when read
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["flowgnn", "cpu", "gpu", "roofline"])
+def test_service_float_lists_are_the_measured_doubles(molhiv_sample, hep_sample, backend):
+    """Dispatch indexes Python float lists; each is ``float(arr[i])`` of the
+    measured array, for every graph at every batch size 1-8."""
+    tenants = [
+        Workload("molecules", model="GAT", dataset=molhiv_sample),
+        Workload("jets", model="PNA", dataset=hep_sample),
+    ]
+    cluster = Cluster(tenants, backend=backend)
+    for service in cluster.services.values():
+        for batch_size in range(1, 9):
+            measured, latencies, energies = service.profile(batch_size)
+            assert len(latencies) == len(energies) == service.num_graphs
+            assert [value.hex() for value in latencies] == [
+                float(measured.latencies_s[i]).hex() for i in range(service.num_graphs)
+            ]
+            assert [value.hex() for value in energies] == [
+                float(measured.energies_j[i]).hex() for i in range(service.num_graphs)
+            ]
+
+
+def test_exact_serve_builds_records_only_when_read(six_tenants, monkeypatch):
+    """An exact run keeps per-request columns and constructs no
+    ``ServingRecord``; reading ``records`` builds the oracle's list."""
+    from repro.serve import ServingRecord
+
+    cluster = Cluster(
+        six_tenants,
+        backend="cpu",
+        num_replicas=2,
+        policy="edf",
+        max_batch_size=8,
+        batch_timeout_s=50e-6,
+        queue_capacity=24,
+    )
+    rate = 1.5 * cluster.num_replicas / cluster.mean_service_s()
+    requests = LoadGenerator.bursty(six_tenants, rate, seed=4).generate(num_requests=60)
+    built = []
+    init = ServingRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ServingRecord, "__init__", counted)
+    report = cluster.serve(requests)
+    assert built == []
+    assert report.dropped > 0 and report.mean_batch_size > 1.0  # cap and batching engage
+    records = report.records
+    assert len(records) == report.completed == len(built)
+    monkeypatch.undo()
+    assert records == reference_serve(cluster, requests).records
