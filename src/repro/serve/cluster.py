@@ -797,14 +797,14 @@ class Cluster:
         ``mode`` selects the sink of the one event loop (:meth:`_serve_loop`).
         ``"exact"`` (the default and the oracle) sorts ``requests`` and
         keeps each completion as a row of per-request columns; ``"sketch"``
-        folds every completion into O(tenants + replicas) online accumulators
-        — same loop, same floats for counts, drops and utilisation,
-        P²-estimated percentiles — and consumes ``requests`` as a stream that must
-        already be sorted by ``(arrival_s, tenant_index, index)`` (what
-        :meth:`LoadGenerator.iter_requests` yields; unsorted input raises
-        ``ValueError``), never holding more than the queued backlog in
-        memory.  For sketch mode straight from a generator — including the
-        vectorised FIFO fast path — see :meth:`serve_stream`.
+        folds every completion into O(tenants + replicas) online
+        accumulators — same loop, same floats for counts, drops and
+        utilisation, P²-estimated percentiles — and consumes ``requests`` as
+        a stream that must already be sorted by ``(arrival_s, tenant_index,
+        index)`` (what :meth:`LoadGenerator.iter_requests` yields; unsorted
+        input raises ``ValueError``), never holding more than the queued
+        backlog in memory.  For sketch mode straight from a generator —
+        including the vectorised FIFO fast path — see :meth:`serve_stream`.
 
         The dispatcher keeps the pending requests in policy-ordered heaps —
         one *lane* per replica for pinned requests plus one shared lane,

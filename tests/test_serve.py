@@ -28,6 +28,7 @@ from repro.serve import (
     PoissonArrivals,
     PowerModel,
     ReactiveAutoscaler,
+    ServingRecord,
     TraceArrivals,
     Workload,
     get_policy,
@@ -1195,8 +1196,6 @@ def test_service_float_lists_are_the_measured_doubles(molhiv_sample, hep_sample,
 def test_exact_serve_builds_records_only_when_read(six_tenants, monkeypatch):
     """An exact run keeps per-request columns and constructs no
     ``ServingRecord``; reading ``records`` builds the oracle's list."""
-    from repro.serve import ServingRecord
-
     cluster = Cluster(
         six_tenants,
         backend="cpu",
