@@ -21,7 +21,7 @@ import numpy as np
 from ..graph import Graph, GraphStream, StreamStatistics, simulate_stream_consumption
 from ..nn.models.base import GNNModel, GNNOutput
 from .config import ArchitectureConfig
-from .simulator import SimulationResult, simulate_inference, weight_loading_cycles
+from .simulator import SimulationResult, _mean, simulate_inference, weight_loading_cycles
 
 __all__ = ["StreamResult", "FlowGNNAccelerator"]
 
@@ -41,12 +41,16 @@ class StreamResult:
 
     @property
     def mean_latency_s(self) -> float:
-        """Mean per-graph latency including the amortised weight load."""
-        if not self.per_graph_results:
+        """Mean per-graph latency including the amortised weight load.
+
+        The floats of ``np.mean`` over the per-graph cycles plus each one's
+        share of the weight load, computed without an array.
+        """
+        results = self.per_graph_results
+        if not results:
             return 0.0
-        cycles = np.array([r.total_cycles for r in self.per_graph_results], dtype=np.float64)
-        amortised = cycles + self.weight_loading_cycles / len(cycles)
-        return float(self.config.cycles_to_seconds(amortised.mean()))
+        share = self.weight_loading_cycles / len(results)
+        return self.config.cycles_to_seconds(_mean([r.total_cycles + share for r in results]))
 
     @property
     def mean_latency_ms(self) -> float:

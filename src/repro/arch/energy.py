@@ -14,9 +14,9 @@ power than GPU" claim implies for the U50.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from .pipeline import dataclass_fields
 from .resources import ResourceEstimate
 from .simulator import SimulationResult
 
@@ -33,8 +33,8 @@ _LUT_ACTIVE_W = 8.0e-6
 _LOAD_INTERFACE_W = 3.0  # HBM/PCIe interface while streaming a graph
 
 
-@dataclass(frozen=True)
-class PowerModel:
+@dataclass_fields
+class PowerModel(NamedTuple):
     """Average power draw of one compiled kernel under a given activity."""
 
     static_w: float
@@ -45,8 +45,8 @@ class PowerModel:
         return self.static_w + self.dynamic_w
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+@dataclass_fields
+class EnergyReport(NamedTuple):
     """Energy metrics for one graph (or an average graph of a stream)."""
 
     power: PowerModel
@@ -78,7 +78,7 @@ def estimate_power(
         + resources.lut * _LUT_ACTIVE_W * activity
         + _LOAD_INTERFACE_W * max(min(loading_fraction, 1.0), 0.0)
     )
-    return PowerModel(static_w=_STATIC_POWER_W, dynamic_w=dynamic)
+    return PowerModel(_STATIC_POWER_W, dynamic)
 
 
 def estimate_energy(
@@ -99,4 +99,4 @@ def estimate_energy(
         mp_utilisation=result.mp_utilisation(),
         loading_fraction=loading_fraction,
     )
-    return EnergyReport(power=power, latency_s=latency_s if latency_s is not None else result.latency_s)
+    return EnergyReport(power, latency_s if latency_s is not None else result.latency_s)

@@ -27,6 +27,7 @@ then transform) used by anisotropic models such as GAT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -39,9 +40,27 @@ from .nt_unit import NTTiming, nt_timing
 
 __all__ = ["LayerTiming", "schedule_layer"]
 
+_Record = TypeVar("_Record")
 
-@dataclass(frozen=True)
-class LayerTiming:
+
+def dataclass_fields(cls: _Record) -> _Record:
+    """Give a ``NamedTuple`` value type the field table of a frozen dataclass.
+
+    The cycle, resource and energy models return tuples rather than frozen
+    dataclasses: building a tuple skips the frozen ``__init__``'s
+    ``object.__setattr__`` per field, which a design-space sweep would pay
+    for thousands of values per run.  With the field table,
+    ``dataclasses.fields``, ``replace`` and ``asdict`` still read each one
+    as the frozen dataclass it used to be.
+    """
+    namespace = {"__annotations__": dict(cls.__annotations__), **cls._field_defaults}
+    template = dataclass(frozen=True)(type(cls.__name__, (), namespace))
+    cls.__dataclass_fields__ = template.__dataclass_fields__
+    return cls
+
+
+@dataclass_fields
+class LayerTiming(NamedTuple):
     """Timing result of one GNN layer on one graph."""
 
     cycles: int

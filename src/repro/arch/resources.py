@@ -25,17 +25,18 @@ knobs (used by the DSE bench), not to predict Vivado to the percent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, NamedTuple, Union
 
 from ..nn.models.base import GNNModel
 from .config import ArchitectureConfig
+from .pipeline import dataclass_fields
 from .simulator import ModelProfile
 
 __all__ = ["ResourceEstimate", "ALVEO_U50", "TABLE3_REFERENCE", "estimate_resources"]
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+@dataclass_fields
+class ResourceEstimate(NamedTuple):
     """Estimated FPGA resource usage of one compiled model kernel."""
 
     dsp: int
@@ -116,6 +117,7 @@ class _LayerWidths:
 
 
 _WIDTHS_SLOT = "_resource_widths"
+_BRAM_SLOT = "_resource_brams"
 
 
 def _layer_widths(profile: ModelProfile) -> _LayerWidths:
@@ -148,9 +150,12 @@ def estimate_resources(
     """Estimate DSP/LUT/FF/BRAM usage of ``model`` compiled under ``config``.
 
     ``model`` is a :class:`~repro.nn.models.base.GNNModel` or its
-    :class:`~repro.arch.ModelProfile`.
+    :class:`~repro.arch.ModelProfile`.  The BRAM count, which reads no
+    ``P_apply`` or ``P_scatter``, is derived once per profile and unit
+    counts.
     """
-    widths = _layer_widths(ModelProfile.of(model))
+    profile = ModelProfile.of(model)
+    widths = _layer_widths(profile)
     num_nt = config.effective_nt_units()
     num_mp = config.effective_mp_units()
 
@@ -174,10 +179,14 @@ def estimate_resources(
 
     # BRAM: node embedding buffer, two message buffers, edge attribute table
     # and the per-MP-unit data queues.
-    bram = _buffer_brams(max_nodes, widths.max_out, num_nt)
-    bram += 2 * _buffer_brams(max_nodes, widths.max_aggregated, num_mp)
-    edge_width = widths.max_message if widths.uses_edge_features else 2
-    bram += _buffer_brams(max_edges, edge_width, num_mp)
-    bram += num_mp * max(config.node_queue_depth // 8, 1)
+    key = (_BRAM_SLOT, num_nt, num_mp, config.node_queue_depth, max_nodes, max_edges)
+    bram = profile._derived.get(key)
+    if bram is None:
+        bram = _buffer_brams(max_nodes, widths.max_out, num_nt)
+        bram += 2 * _buffer_brams(max_nodes, widths.max_aggregated, num_mp)
+        edge_width = widths.max_message if widths.uses_edge_features else 2
+        bram += _buffer_brams(max_edges, edge_width, num_mp)
+        bram += num_mp * max(config.node_queue_depth // 8, 1)
+        profile._derived[key] = bram
 
-    return ResourceEstimate(dsp=int(dsp), lut=int(lut), ff=int(ff), bram=int(bram))
+    return ResourceEstimate(int(dsp), int(lut), int(ff), int(bram))

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Callable, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graph import Graph
 from ..nn.models.base import GNNModel, GNNOutput, LayerSpec
@@ -49,6 +47,10 @@ __all__ = [
 #: ``(in, out)`` widths of a run of dense layers.
 LinearShapes = Tuple[Tuple[int, int], ...]
 
+_LOADING_SLOT = "_graph_loading_cycles"
+_WEIGHT_LOADING_SLOT = "_weight_loading_cycles"
+_READOUT_SLOT = "_readout_cycles"
+
 
 def _linear_shapes(linears) -> LinearShapes:
     return tuple((linear.in_dim, linear.out_dim) for linear in linears)
@@ -66,10 +68,10 @@ class ModelProfile:
     it was taken; nothing is stored on the model.
 
     Layers with equal specs share one :class:`LayerSpec` object, so a
-    schedule-cache hit compares the spec by identity.  What other modules
-    derive from the profile alone (the resource model's layer widths) is
-    kept in ``_derived``, which, like ``Graph._degree_cache``, is neither an
-    init field nor compared.
+    schedule-cache hit compares the spec by identity.  What is derived from
+    the profile and a few knobs (the weight-loading and readout cycles, the
+    resource model's layer widths) is kept in ``_derived``, which, like
+    ``Graph._degree_cache``, is neither an init field nor compared.
     """
 
     name: str
@@ -120,7 +122,11 @@ class ModelProfile:
 
 @dataclass
 class SimulationResult:
-    """Outcome of simulating one graph through one model on one configuration."""
+    """Outcome of simulating one graph through one model on one configuration.
+
+    A result is a record of one simulation: its cycle totals are summed on
+    first read and kept.
+    """
 
     model_name: str
     graph_name: str
@@ -130,17 +136,24 @@ class SimulationResult:
     readout_cycles: int
     weight_loading_cycles: int
     functional_output: Optional[GNNOutput] = None
+    # Not fields: the two sums, once read.
+    _compute_cycles = None
+    _total_cycles = None
 
     @property
     def compute_cycles(self) -> int:
         """Cycles spent in the GNN layer stack."""
-        return int(sum(t.cycles for t in self.layer_timings))
+        if self._compute_cycles is None:
+            self._compute_cycles = int(sum(t.cycles for t in self.layer_timings))
+        return self._compute_cycles
 
     @property
     def total_cycles(self) -> int:
         """Per-graph cycles: loading + layers + readout (weights excluded,
         they are amortised over the stream — see ``amortised_cycles``)."""
-        return self.loading_cycles + self.compute_cycles + self.readout_cycles
+        if self._total_cycles is None:
+            self._total_cycles = self.loading_cycles + self.compute_cycles + self.readout_cycles
+        return self._total_cycles
 
     @property
     def latency_s(self) -> float:
@@ -175,12 +188,46 @@ class SimulationResult:
         }
 
 
-def _mean(values: List[float]) -> float:
-    """``float(np.mean(values))`` bit for bit (0.0 when empty), without its
-    wrapper: ``np.mean`` is this sum over the count."""
+def _pairwise(values: Sequence[float], start: int, count: int) -> float:
+    """numpy's pairwise sum of ``values[start:start + count]``.
+
+    Fewer than 8 values are added in order; up to 128 go into eight
+    interleaved partial sums, combined as a tree, and the rest added in
+    order; longer runs split in two at a multiple of 8.
+    """
+    if count < 8:
+        total = 0.0
+        for index in range(start, start + count):
+            total += values[index]
+        return total
+    if count <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start : start + 8]
+        stop = start + count - count % 8
+        for i in range(start + 8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for index in range(stop, start + count):
+            total += values[index]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise(values, start, half) + _pairwise(values, start + half, count - half)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` of Python floats, bit for bit (0.0 when
+    empty), without numpy: its sum is 0.0 plus the pairwise sum, and the
+    mean that sum over the count."""
     if not values:
         return 0.0
-    return float(np.add.reduce(values)) / len(values)
+    return (0.0 + _pairwise(values, 0, len(values))) / len(values)
 
 
 def graph_loading_cycles(graph: Graph, config: ArchitectureConfig) -> int:
@@ -188,23 +235,39 @@ def graph_loading_cycles(graph: Graph, config: ArchitectureConfig) -> int:
 
     Every edge contributes its two endpoint ids plus its edge features; every
     node contributes its input features.  The link moves
-    ``loading_elements_per_cycle`` scalar elements per cycle.
+    ``loading_elements_per_cycle`` scalar elements per cycle.  The count is
+    derived once per graph and bandwidth, in the graph's private cache (a
+    graph is immutable, and ``dataclasses.replace`` starts a fresh cache).
     """
     if not config.include_graph_loading:
         return 0
-    elements = graph.num_nodes * max(graph.node_feature_dim, 1)
-    elements += graph.num_edges * (2 + graph.edge_feature_dim)
-    return int(ceil(elements / config.loading_elements_per_cycle))
+    key = (_LOADING_SLOT, config.loading_elements_per_cycle)
+    cycles = graph._degree_cache.get(key)
+    if cycles is None:
+        elements = graph.num_nodes * max(graph.node_feature_dim, 1)
+        elements += graph.num_edges * (2 + graph.edge_feature_dim)
+        cycles = int(ceil(elements / config.loading_elements_per_cycle))
+        graph._degree_cache[key] = cycles
+    return cycles
 
 
 def weight_loading_cycles(
     model: Union[GNNModel, ModelProfile], config: ArchitectureConfig
 ) -> int:
-    """Cycles to stream all model parameters onto the accelerator (one time)."""
+    """Cycles to stream all model parameters onto the accelerator (one time).
+
+    Derived once per profile and bandwidth (a model's profile is derived
+    per call, so only a caller that keeps the profile reuses it).
+    """
     if not config.include_weight_loading:
         return 0
-    parameters = ModelProfile.of(model).parameter_count
-    return int(ceil(parameters / config.loading_elements_per_cycle))
+    profile = ModelProfile.of(model)
+    key = (_WEIGHT_LOADING_SLOT, config.loading_elements_per_cycle)
+    cycles = profile._derived.get(key)
+    if cycles is None:
+        cycles = int(ceil(profile.parameter_count / config.loading_elements_per_cycle))
+        profile._derived[key] = cycles
+    return cycles
 
 
 def _dense_cycles(shapes: LinearShapes, config: ArchitectureConfig) -> int:
@@ -221,13 +284,23 @@ def _readout_cycles(profile: ModelProfile, graph: Graph, config: ArchitectureCon
 
     Pooling reads every node embedding once (``P_apply`` elements per cycle,
     spread over the NT units); the head is a tiny dense network evaluated
-    once per graph on a single unit.
+    once per graph on a single unit.  A virtual-node model's MLP runs
+    between layers on an NT unit and serialises with the layer barrier; its
+    cycles are charged here too (the per-layer :class:`LayerTiming` values
+    stay as scheduled).  Derived once per profile, node count, ``P_node``
+    and ``P_apply``.
     """
-    hidden = profile.layer_specs[-1].out_dim
-    pooling = ceil(graph.num_nodes / config.effective_nt_units()) * ceil(
-        hidden / config.apply_parallelism
-    )
-    return int(pooling + _dense_cycles(profile.head_linear_shapes, config))
+    num_nt = config.effective_nt_units()
+    key = (_READOUT_SLOT, graph.num_nodes, num_nt, config.apply_parallelism)
+    cycles = profile._derived.get(key)
+    if cycles is None:
+        hidden = profile.layer_specs[-1].out_dim
+        pooling = ceil(graph.num_nodes / num_nt) * ceil(hidden / config.apply_parallelism)
+        cycles = int(pooling + _dense_cycles(profile.head_linear_shapes, config))
+        if profile.virtual_node_linear_shapes is not None:
+            cycles += _dense_cycles(profile.virtual_node_linear_shapes, config)
+        profile._derived[key] = cycles
+    return cycles
 
 
 def simulate_inference(
@@ -268,16 +341,6 @@ def simulate_inference(
         timing_graph = profile.timing_graph(graph)
     layer_timings = [schedule(timing_graph, spec, config) for spec in profile.layer_specs]
 
-    loading = graph_loading_cycles(graph, config)
-    weight_loading = weight_loading_cycles(profile, config)
-    # The VN MLP runs between layers on an NT unit and serialises with the
-    # layer barrier; its cycles are charged to the readout phase (rather than
-    # mutating the per-layer LayerTiming objects, which stay immutable for
-    # reporting).
-    readout = _readout_cycles(profile, graph, config)
-    if profile.virtual_node_linear_shapes is not None:
-        readout += _dense_cycles(profile.virtual_node_linear_shapes, config)
-
     functional_output: Optional[GNNOutput] = None
     if functional:
         functional_output = model.forward(graph)
@@ -287,8 +350,8 @@ def simulate_inference(
         graph_name=graph.name,
         config=config,
         layer_timings=layer_timings,
-        loading_cycles=loading,
-        readout_cycles=readout,
-        weight_loading_cycles=weight_loading,
+        loading_cycles=graph_loading_cycles(graph, config),
+        readout_cycles=_readout_cycles(profile, graph, config),
+        weight_loading_cycles=weight_loading_cycles(profile, config),
         functional_output=functional_output,
     )

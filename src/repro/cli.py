@@ -42,6 +42,7 @@ from typing import List, Optional
 from . import __version__
 from .api import BACKEND_NAMES, InferenceRequest, MeasurementCache, get_backend
 from .arch import ALVEO_U50
+from .checks import finite_nonnegative
 from .datasets import DATASET_NAMES, load_dataset
 from .dse import SweepRunner, SweepSpec
 from .engine import EXECUTOR_NAMES
@@ -1563,6 +1564,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # The exact invocation, recorded as provenance by --record.
     args._argv = list(argv) if argv is not None else list(sys.argv[1:])
+    if getattr(args, "workers", None) is not None:
+        try:
+            finite_nonnegative(args.workers, "--workers")
+        except ValueError as error:
+            print(f"invalid option: {error}", file=sys.stderr)
+            return 2
     if args.command == "experiments":
         return _run_experiments(args)
     if args.command == "simulate":

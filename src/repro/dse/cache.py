@@ -13,8 +13,10 @@ hidden-layer specs), so the same schedule is recomputed over and over.
 once.
 
 Keys are cheap: the graph signature is a SHA-1 over the raw edge list,
-computed once per graph and stashed on the graph's private cache dict;
-``LayerSpec`` and the reduced config key are hashable tuples.
+computed once per graph and stashed on the graph's private cache dict, and
+a ``LayerSpec`` hashes its fields once.  Entries are grouped by the reduced
+config key, so a lookup bound to one configuration keys on ``(signature,
+spec)`` alone.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class ScheduleCache:
     """
 
     def __init__(self, use_fast_path: bool = True) -> None:
-        self._entries: Dict[Tuple, LayerTiming] = {}
+        # reduced config key -> {(graph signature, spec): timing}
+        self._entries: Dict[Tuple, Dict[Tuple[str, LayerSpec], LayerTiming]] = {}
         self._use_fast_path = use_fast_path
         self._compute: Callable[..., LayerTiming] = (
             fast_schedule_layer if use_fast_path else schedule_layer
@@ -128,7 +131,7 @@ class ScheduleCache:
         cache with entries computed under a different configuration.
         """
         config_key = tuple(getattr(config, name) for name in _SCHEDULE_FIELDS)
-        entries = self._entries
+        entries = self._entries.setdefault(config_key, {})
         # Every miss, its plan included, runs inside the captured scheduler.
         compute = self._compute
         if self._use_fast_path:
@@ -137,7 +140,8 @@ class ScheduleCache:
         def bound_schedule(
             graph: Graph, spec: LayerSpec, _cfg: ArchitectureConfig
         ) -> LayerTiming:
-            key = (graph_signature(graph), spec, config_key)
+            signature = graph._degree_cache.get(_SIGNATURE_SLOT) or graph_signature(graph)
+            key = (signature, spec)
             timing = entries.get(key)
             if timing is None:
                 self.misses += 1
@@ -149,10 +153,12 @@ class ScheduleCache:
         return bound_schedule
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._entries.values()))
 
     def clear(self) -> None:
-        self._entries.clear()
+        # In place: a function bound before the clear keeps its config's dict.
+        for entries in self._entries.values():
+            entries.clear()
         self.hits = 0
         self.misses = 0
 
@@ -164,7 +170,7 @@ class ScheduleCache:
     def info(self) -> Dict[str, float]:
         """Cache statistics for reports and benchmarks."""
         return {
-            "entries": len(self._entries),
+            "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),

@@ -80,7 +80,8 @@ class LayerPlan(NamedTuple):
     """What a FlowGNN schedule reads from one ``(spec, config)`` pair.
 
     ``interval`` weighs a layout point's ``x`` (the NT step between
-    consecutive nodes of a unit) and ``edge_latency`` its ``y``.
+    consecutive nodes of a unit) and ``edge_latency`` its ``y``;
+    ``layout_key`` is where the graph's cache keeps the bank layout.
     """
 
     gather_first: bool
@@ -94,6 +95,7 @@ class LayerPlan(NamedTuple):
     drain: int
     edge_latency: int
     barrier: int
+    layout_key: Tuple[str, int, int]
 
 
 def layer_plan(spec: LayerSpec, config: ArchitectureConfig) -> LayerPlan:
@@ -119,6 +121,11 @@ def layer_plan(spec: LayerSpec, config: ArchitectureConfig) -> LayerPlan:
         drain=nt.node_latency - nt.node_interval,
         edge_latency=edge_latency,
         barrier=config.layer_barrier_cycles,
+        layout_key=(
+            _GATHER_SLOT if gather_first else _SCATTER_SLOT,
+            config.num_nt_units,
+            config.num_mp_units,
+        ),
     )
 
 
@@ -142,14 +149,19 @@ def fast_schedule_layer(
         plan = layer_plan(spec, config)
         if plans is not None:
             plans[spec] = plan
-    finish = _gather_first_finish(graph, plan) if plan.gather_first else _scatter_first_finish(graph, plan)
+    num_nodes = graph.num_nodes
+    num_edges = graph.num_edges
+    if plan.gather_first:
+        finish = _gather_first_finish(graph, plan, num_nodes)
+    else:
+        finish = _scatter_first_finish(graph, plan, num_nodes, num_edges)
     return LayerTiming(
-        cycles=int(finish + plan.barrier),
-        nt_busy_cycles=int(graph.num_nodes * plan.node_interval),
-        mp_busy_cycles=int(graph.num_edges * plan.edge_latency),
-        nt_units=plan.nt_units,
-        mp_units=plan.mp_units,
-        strategy=PipelineStrategy.FLOWGNN,
+        int(finish + plan.barrier),
+        int(num_nodes * plan.node_interval),
+        int(num_edges * plan.edge_latency),
+        plan.nt_units,
+        plan.mp_units,
+        PipelineStrategy.FLOWGNN,
     )
 
 
@@ -229,30 +241,34 @@ def _gather_layout(graph: Graph, num_nt: int, num_mp: int) -> Hull:
     return layout
 
 
-def _scatter_first_finish(graph: Graph, plan: LayerPlan) -> int:
+def _scatter_first_finish(graph: Graph, plan: LayerPlan, num_nodes: int, num_edges: int) -> int:
     """When the last NT output or MP edge of a scatter-first layer ends."""
     nt_finish = 0
-    if graph.num_nodes:
-        last_position = (graph.num_nodes - 1) // plan.nt_units
+    if num_nodes:
+        last_position = (num_nodes - 1) // plan.nt_units
         nt_finish = plan.accumulate + last_position * plan.interval + plan.output
-
-    mp_finish = 0
-    if graph.num_edges:
-        interval, edge_latency = plan.interval, plan.edge_latency
-        latest = max(
-            pos * interval + left * edge_latency
-            for pos, left in _scatter_layout(graph, plan.nt_units, plan.mp_units)
-        )
-        mp_finish = plan.accumulate + plan.ready_offset + latest
-    return max(nt_finish, mp_finish)
-
-
-def _gather_first_finish(graph: Graph, plan: LayerPlan) -> int:
-    """When the last gather or NT node of a gather-first layer ends."""
-    if not graph.num_nodes:
-        return 0
+    if not num_edges:
+        return nt_finish
+    layout = graph._degree_cache.get(plan.layout_key) or _scatter_layout(graph, plan.nt_units, plan.mp_units)
     interval, edge_latency = plan.interval, plan.edge_latency
-    layout = _gather_layout(graph, plan.nt_units, plan.mp_units)
+    latest = 0  # every term is non-negative
+    for pos, left in layout:
+        value = pos * interval + left * edge_latency
+        if value > latest:
+            latest = value
+    return max(nt_finish, plan.accumulate + plan.ready_offset + latest)
+
+
+def _gather_first_finish(graph: Graph, plan: LayerPlan, num_nodes: int) -> int:
+    """When the last gather or NT node of a gather-first layer ends."""
+    if not num_nodes:
+        return 0
+    layout = graph._degree_cache.get(plan.layout_key) or _gather_layout(graph, plan.nt_units, plan.mp_units)
+    interval, edge_latency = plan.interval, plan.edge_latency
+    nt_finish = 0  # every term is non-negative
+    for left, prefix in layout:
+        value = left * interval + prefix * edge_latency
+        if value > nt_finish:
+            nt_finish = value
     mp_finish = edge_latency * layout[0][1]
-    nt_finish = max(left * interval + prefix * edge_latency for left, prefix in layout)
     return max(mp_finish, nt_finish + plan.drain)  # drain the last node

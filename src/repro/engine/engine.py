@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Union
 
+from ..checks import finite_nonnegative
 from .exec import EXECUTOR_NAMES, Checkpoint, Executor, SerialExecutor, make_executor
 from .job import Job
 
@@ -82,7 +83,7 @@ class Engine:
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
-        self.workers = int(workers)
+        self.workers = int(finite_nonnegative(workers, "workers"))
         if chunk_items is not None and int(chunk_items) < 1:
             raise ValueError("chunk_items must be a positive integer or None")
         self.chunk_items = None if chunk_items is None else int(chunk_items)

@@ -80,8 +80,8 @@ class Graph:
     edge_features: Optional[np.ndarray] = None
     graph_label: Optional[np.ndarray] = None
     name: str = ""
-    # Values derived from the structure (degrees, the schedule cache's
-    # signature and bank layouts).  Not an init field, so
+    # Values derived from the graph (degrees, the schedule cache's signature,
+    # bank layouts and loading cycles).  Not an init field, so
     # ``dataclasses.replace`` starts the copy with an empty cache.
     _degree_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

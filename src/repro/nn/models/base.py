@@ -15,7 +15,7 @@ faces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,23 @@ class LayerSpec:
     edge_ops_per_element: int = 1
     dataflow: str = "nt_to_mp"
     attention_heads: int = 0
+
+    _hash = None  # not a field: set on the first hash
+
+    def __hash__(self) -> int:
+        # The generated hash rehashes all ten fields per call, and every
+        # schedule-cache lookup hashes a spec: the same value, taken once.
+        if self._hash is None:
+            fields_hash = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", fields_hash)
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # A str hashes differently in another process, so a copy or an
+        # unpickled spec takes its own hash.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def nt_macs_per_node(self) -> int:
         """Multiply-accumulate operations per node in the NT unit."""

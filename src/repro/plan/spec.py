@@ -17,11 +17,11 @@ fails when the spec is constructed, before any simulation starts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Tuple
 
 from ..api.backends import BACKEND_NAMES
+from ..checks import finite_nonnegative, finite_positive
 from ..serve.autoscale import parse_admission, parse_autoscaler
 from ..serve.carbon import CarbonIntensity
 from ..serve.cluster import POLICY_NAMES
@@ -241,8 +241,8 @@ class PlanSpec:
                 )
         if any(size < 1 for size in self.max_batch_sizes):
             raise ValueError("every max_batch_size must be >= 1")
-        if not all(0 <= timeout < math.inf for timeout in self.batch_timeouts_s):
-            raise ValueError("every batch timeout must be finite and >= 0")
+        for timeout in self.batch_timeouts_s:
+            finite_nonnegative(timeout, "every batch timeout")
         if any(
             capacity is not None and capacity < 1
             for capacity in self.queue_capacities
@@ -284,8 +284,8 @@ class PlanSpec:
             if text is not None:
                 CarbonIntensity.parse(text)
         for cap in self.power_caps:
-            if cap is not None and not cap > 0:
-                raise ValueError("every power cap must be > 0 watts (or None)")
+            if cap is not None:
+                finite_positive(cap, "power cap")
         if self.power is not None:
             PowerModel.parse(self.power)
         if self.mode not in ("exact", "sketch"):

@@ -57,6 +57,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..checks import finite_nonnegative, finite_positive
+
 __all__ = [
     "AutoscalerMetrics",
     "Autoscaler",
@@ -121,12 +123,9 @@ class Autoscaler(ABC):
             raise ValueError("min_replicas must be >= 1")
         if max_replicas < min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        if provision_delay_s < 0:
-            raise ValueError("provision_delay_s must be >= 0")
-        if scale_down_hysteresis_s < 0:
-            raise ValueError("scale_down_hysteresis_s must be >= 0")
+        finite_positive(interval_s, "interval_s")
+        finite_nonnegative(provision_delay_s, "provision_delay_s")
+        finite_nonnegative(scale_down_hysteresis_s, "scale_down_hysteresis_s")
         self.min_replicas = int(min_replicas)
         self.max_replicas = int(max_replicas)
         self.interval_s = float(interval_s)
@@ -171,8 +170,7 @@ class ReactiveAutoscaler(Autoscaler):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        if high_queue_per_replica <= 0:
-            raise ValueError("high_queue_per_replica must be > 0")
+        finite_positive(high_queue_per_replica, "high_queue_per_replica")
         if not 0 <= low_queue_per_replica <= high_queue_per_replica:
             raise ValueError(
                 "low_queue_per_replica must be in [0, high_queue_per_replica]"
@@ -265,8 +263,7 @@ class CarbonSuspendAutoscaler(ReactiveAutoscaler):
 
     def __init__(self, carbon_threshold: float = 400.0, **kwargs) -> None:
         super().__init__(**kwargs)
-        if carbon_threshold < 0:
-            raise ValueError("carbon_threshold must be >= 0")
+        finite_nonnegative(carbon_threshold, "carbon_threshold")
         self.carbon_threshold = float(carbon_threshold)
         self._trace: "Optional[CarbonIntensity]" = None
 
@@ -308,8 +305,8 @@ class AdmissionControl:
             )
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.deadline_headroom is not None and self.deadline_headroom <= 0:
-            raise ValueError("deadline_headroom must be > 0")
+        if self.deadline_headroom is not None:
+            finite_positive(self.deadline_headroom, "deadline_headroom")
 
     def should_shed(self, item: "_QueueItem", pending: int, state: "_SimState") -> bool:
         """Whether to shed ``item`` given ``pending`` queued requests."""
@@ -368,12 +365,10 @@ class CarbonWaitingAdmission(AdmissionControl):
         # and/or deadline_headroom" check is deliberately not inherited.
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.deadline_headroom is not None and self.deadline_headroom <= 0:
-            raise ValueError("deadline_headroom must be > 0")
-        if self.carbon_threshold < 0:
-            raise ValueError("carbon_threshold must be >= 0")
-        if self.release_headroom < 0:
-            raise ValueError("release_headroom must be >= 0")
+        if self.deadline_headroom is not None:
+            finite_positive(self.deadline_headroom, "deadline_headroom")
+        finite_nonnegative(self.carbon_threshold, "carbon_threshold")
+        finite_nonnegative(self.release_headroom, "release_headroom")
 
     def release_at_s(self, deadline_s: float, service_s: float) -> float:
         """Latest time a held request may wait before it must be queued."""

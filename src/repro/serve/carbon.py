@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..checks import finite_nonnegative
+
 __all__ = ["CarbonIntensity", "parse_carbon_trace", "J_PER_KWH"]
 
 #: Joules per kilowatt-hour — converts ``∫ intensity dt`` (g·s/kWh) into
@@ -66,8 +68,7 @@ class CarbonIntensity:
             if later <= earlier:
                 raise ValueError("carbon trace times must be strictly ascending")
         for value in self.intensities:
-            if value < 0 or not math.isfinite(value):
-                raise ValueError(f"carbon intensity must be finite and >= 0, got {value}")
+            finite_nonnegative(value, "carbon intensity")
         if self.period_s is not None:
             if self.period_s <= self.times_s[-1]:
                 raise ValueError(

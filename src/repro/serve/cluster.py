@@ -51,6 +51,7 @@ from typing import (
 import numpy as np
 
 from ..api import Backend, InferenceRequest, Measurement, MeasurementCache, get_backend
+from ..checks import finite_nonnegative, finite_positive
 from .arrivals import REQUEST_ORDER, ServingRequest
 from .autoscale import (
     AdmissionControl,
@@ -436,9 +437,7 @@ class _SketchSink:
     The streaming counterpart of :class:`_ExactSink`: per-tenant
     :class:`~repro.serve.sketches.LatencySketch` objects, two cluster-level
     histograms, drop counters and the horizon maxima — O(tenants + replicas)
-    memory however many requests stream through.  It also retires finished
-    items from the streaming loop's ``items`` dict, keeping the live set
-    bounded by the queue backlog.
+    memory however many requests stream through.
 
     Per-tenant queue depth mirrors
     :func:`~repro.graph.queue_depths_at_arrivals` exactly: at each admission
@@ -451,7 +450,6 @@ class _SketchSink:
     """
 
     __slots__ = (
-        "items",
         "sketches",
         "batch_hist",
         "queue_hist",
@@ -467,8 +465,7 @@ class _SketchSink:
         "_qd_heaps",
     )
 
-    def __init__(self, cluster: "Cluster", items: Optional[Dict[int, _QueueItem]]) -> None:
-        self.items = items
+    def __init__(self, cluster: "Cluster") -> None:
         self.sketches = {
             w.tenant: LatencySketch(deadline_s=w.deadline_s) for w in cluster.workloads
         }
@@ -504,8 +501,6 @@ class _SketchSink:
         heapq.heappush(self._qd_heaps[tenant], (end_s, size))
         if end_s > self.max_completion_s:
             self.max_completion_s = end_s
-        for item in batch:
-            del self.items[item.seq]
 
     def on_admit(self, request: ServingRequest) -> None:
         """Sample the tenant's queue depth at this (admitted) arrival."""
@@ -632,8 +627,7 @@ class Cluster:
             raise ValueError("num_replicas must be >= 1")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if not 0 <= self.batch_timeout_s < math.inf:
-            raise ValueError("batch_timeout_s must be finite and >= 0")
+        finite_nonnegative(self.batch_timeout_s, "batch_timeout_s")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
         if isinstance(self.autoscaler, str):
@@ -646,8 +640,8 @@ class Cluster:
             self.power = PowerModel.parse(self.power)
         if isinstance(self.carbon, str):
             self.carbon = CarbonIntensity.parse(self.carbon)
-        if self.power_cap_w is not None and self.power_cap_w <= 0:
-            raise ValueError("power_cap_w must be > 0 (or None for uncapped)")
+        if self.power_cap_w is not None:
+            finite_positive(self.power_cap_w, "power_cap_w")
         if isinstance(self.policy, str):
             self.policy = get_policy(self.policy)
         backend_instance = get_backend(self.backend)
@@ -707,8 +701,7 @@ class Cluster:
                 raise ValueError("max_batch_size must be >= 1")
             clone.max_batch_size = int(max_batch_size)
         if batch_timeout_s is not None:
-            if not 0 <= batch_timeout_s < math.inf:
-                raise ValueError("batch_timeout_s must be finite and >= 0")
+            finite_nonnegative(batch_timeout_s, "batch_timeout_s")
             clone.batch_timeout_s = float(batch_timeout_s)
         if queue_capacity is not ...:
             if queue_capacity is not None and queue_capacity < 1:
@@ -735,8 +728,8 @@ class Cluster:
                 CarbonIntensity.parse(carbon) if isinstance(carbon, str) else carbon
             )
         if power_cap_w is not ...:
-            if power_cap_w is not None and power_cap_w <= 0:
-                raise ValueError("power_cap_w must be > 0 (or None for uncapped)")
+            if power_cap_w is not None:
+                finite_positive(power_cap_w, "power_cap_w")
             clone.power_cap_w = power_cap_w
         return clone
 
@@ -897,9 +890,10 @@ class Cluster:
         the heap holds at most one future arrival.  ``mode`` picks the sink,
         which takes each dispatched batch whole: exact mode keeps every
         completion as a row of per-request columns and a queue sample per
-        instant, sketch mode folds completions into a :class:`_SketchSink`
-        and retires finished items, so memory is the queued backlog, not the
-        request count.
+        instant, sketch mode folds completions into a :class:`_SketchSink`.
+        ``items`` holds only requests not yet dispatched, dropped or shed
+        (``_dispatch`` retires a batch's items as it starts it), so in
+        sketch mode memory is the queued backlog, not the request count.
 
         A static cluster is this loop with no control plane.  A dynamic one
         adds events to the same heap: ``_FAIL``/``_RECOVER`` from the fault
@@ -964,7 +958,7 @@ class Cluster:
             cap = num_initial
             if autoscaler is not None:
                 cap = max(cap, autoscaler.max_replicas)
-            sink = _SketchSink(self, items)
+            sink = _SketchSink(self)
             replica_hist = StreamingHistogram.integers(cap)
             replica_hist.update(float(num_initial))
         scheduled_timers: set = set()
@@ -1369,7 +1363,7 @@ class Cluster:
             elif admitting:
                 sink.on_instant_sample(lanes.pending)
             self._dispatch(
-                now, state, lanes, busy_time, sink, events, scheduled_timers, factors, power_gate, power_busy
+                now, state, lanes, busy_time, sink, events, scheduled_timers, factors, power_gate, power_busy, items
             )
 
         if lanes.pending:
@@ -1403,6 +1397,7 @@ class Cluster:
                 dynamic_fields["replica_count_trace"] = np.array(timeline_counts, dtype=np.int64)
             else:
                 dynamic_fields["replica_count_hist"] = replica_hist
+        assert not items, "event loop leaked queue items"
         if exact:
             return assemble_report(
                 cluster=self,
@@ -1417,7 +1412,6 @@ class Cluster:
                 power_state=power_state,
                 **dynamic_fields,
             )
-        assert not items, "streaming loop leaked queue items"
         return assemble_sketch_report(
             cluster=self,
             sketches=sink.sketches,
@@ -1479,7 +1473,7 @@ class Cluster:
             lat_lut[t, : measured.latencies_s.size] = measured.latencies_s
             energy_lut[t, : measured.energies_j.size] = measured.energies_j
 
-        sink = _SketchSink(self, items=None)
+        sink = _SketchSink(self)
         sketches = [sink.sketches[w.tenant] for w in workloads]
         busy_time = [0.0] * num_replicas
         prev_finish = [0.0] * num_replicas
@@ -1615,6 +1609,7 @@ class Cluster:
         factors: List[float],
         power_gate: Optional[Callable[[float, int], bool]],
         power_busy: Optional[Callable[[float, int], None]],
+        items: Dict[int, _QueueItem],
     ) -> None:
         """Start work on every dispatchable replica that is free at ``now``.
 
@@ -1624,7 +1619,7 @@ class Cluster:
         floats.  ``power_gate`` skips a replica whose dispatch would push
         cluster draw over the watt cap; ``power_busy`` charges a dispatched
         replica's busy draw into the power ledger.  Both are None when
-        power is not modelled.
+        power is not modelled.  A dispatched item leaves ``items``.
 
         A free replica whose merged view is empty (no head in its own lane
         nor in the shared lane) is skipped in O(1).  When batch selection
@@ -1667,6 +1662,7 @@ class Cluster:
             for item in batch:
                 if item.replica is not None:
                     state.queued_work[item.replica] -= item.service_s
+                del items[item.seq]  # the sink keeps what it needs
             service = self.services[batch[0].request.tenant]
             # With dynamic batching enabled the dispatch size governs the
             # measurement; otherwise the workload's declared batch size does

@@ -47,6 +47,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import finite_nonnegative, finite_positive
+
 __all__ = ["FaultEvent", "FaultSchedule", "parse_fault_schedule", "FAULT_ACTIONS"]
 
 #: Recognised fault actions (``crash`` parses as an alias for ``fail``).
@@ -63,16 +65,14 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.time_s}")
+        finite_nonnegative(self.time_s, "fault time")
         if self.action not in FAULT_ACTIONS:
             raise ValueError(
                 f"unknown fault action {self.action!r}; expected one of {FAULT_ACTIONS}"
             )
         if self.replica < 0:
             raise ValueError(f"fault replica must be >= 0, got {self.replica}")
-        if self.factor <= 0:
-            raise ValueError(f"slowdown factor must be > 0, got {self.factor}")
+        finite_positive(self.factor, "slowdown factor")
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,9 @@ class FaultSchedule:
         """
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0 for a random fault schedule")
-        if mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError("mtbf_s and mttr_s must be > 0")
+        finite_positive(horizon_s, "horizon_s of a random fault schedule")
+        finite_positive(mtbf_s, "mtbf_s")
+        finite_positive(mttr_s, "mttr_s")
         events = []
         for replica in range(num_replicas):
             rng = np.random.default_rng([int(seed), replica])

@@ -26,8 +26,9 @@ Models come from three places:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from ..checks import finite_nonnegative, finite_positive
 
 __all__ = ["PowerModel", "parse_power_model"]
 
@@ -48,13 +49,8 @@ class PowerModel:
 
     def __post_init__(self) -> None:
         for name in ("idle_w", "busy_w", "provisioning_w"):
-            value = getattr(self, name)
-            if value < 0 or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.degraded_factor <= 0 or not math.isfinite(self.degraded_factor):
-            raise ValueError(
-                f"degraded_factor must be finite and > 0, got {self.degraded_factor}"
-            )
+            finite_nonnegative(getattr(self, name), name)
+        finite_positive(self.degraded_factor, "degraded_factor")
 
     @classmethod
     def from_busy(cls, busy_w: float, degraded_factor: float = 1.0) -> "PowerModel":

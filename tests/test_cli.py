@@ -870,3 +870,72 @@ class TestNonFiniteServingInputs:
         for path in (missing, str(tmp_path)):  # missing, and a directory
             with pytest.raises(ValueError, match="cannot read carbon CSV"):
                 CarbonIntensity.from_csv(path)
+
+
+class TestNonFiniteControlInputs:
+    """NaN event times, intervals and thresholds, and a negative worker
+    count, exit 2 with one stderr line instead of hanging or running."""
+
+    def _assert_one_line(self, proc, text):
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert text in proc.stderr
+
+    def test_nan_fail_time_exits_2_instead_of_hanging(self):
+        proc = _repro_in_subprocess(*_TINY_SERVE, "--fault", "fail@nan:r0")
+        self._assert_one_line(proc, "fault time must be finite and >= 0")
+
+    def test_nan_recover_time_exits_2_instead_of_hanging(self):
+        proc = _repro_in_subprocess(*_TINY_SERVE, "--fault", "recover@nan:r0")
+        self._assert_one_line(proc, "fault time must be finite and >= 0")
+
+    def test_nan_autoscale_interval_exits_2_instead_of_hanging(self):
+        proc = _repro_in_subprocess(*_TINY_SERVE, "--autoscale", "reactive:min=1,max=4,interval=nan")
+        self._assert_one_line(proc, "interval_s must be finite and > 0")
+
+    def test_nan_power_cap_is_rejected(self, capsys):
+        code = main(_TINY_SERVE + ["--power-cap", "nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "power_cap_w must be finite and > 0" in err
+        cluster = Cluster([Workload("t", model="GIN", num_graphs=2)], backend="cpu")
+        mix = TenantMix("mix", [{"tenant": "t", "model": "GIN", "num_graphs": 2}])
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="power_cap_w must be finite"):
+                cluster.with_options(power_cap_w=value)
+            with pytest.raises(ValueError, match="power cap must be finite"):
+                PlanSpec(mixes=[mix], power_caps=[value])
+
+    def test_nan_admission_headroom_is_rejected(self, capsys):
+        from repro.serve import AdmissionControl
+
+        code = main(_TINY_SERVE + ["--admission", "headroom=nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "deadline_headroom must be finite and > 0" in err
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="deadline_headroom must be finite"):
+                AdmissionControl(deadline_headroom=value)
+
+    def test_nan_carbon_waiting_threshold_is_rejected(self, capsys):
+        from repro.serve import CarbonWaitingAdmission
+
+        code = main(_TINY_SERVE + ["--admission", "carbon_waiting:threshold=nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "carbon_threshold must be finite and >= 0" in err
+        for field in ("carbon_threshold", "release_headroom"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                CarbonWaitingAdmission(**{field: math.nan})
+
+    def test_negative_dse_workers_is_rejected(self, capsys):
+        from repro.engine import Engine
+
+        one_point = ["dse", "--models", "GCN", "--p-node", "1", "--p-edge", "1", "--p-apply", "1"]
+        code = main(one_point + ["--p-scatter", "1", "--num-graphs", "2", "--workers", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers must be finite and >= 0, got -1" in err
+        with pytest.raises(ValueError, match="workers must be finite and >= 0"):
+            Engine(workers=-1)
+        assert Engine(workers=0).workers == 0

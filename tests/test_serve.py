@@ -1222,3 +1222,39 @@ def test_exact_serve_builds_records_only_when_read(six_tenants, monkeypatch):
     assert len(records) == report.completed == len(built)
     monkeypatch.undo()
     assert records == reference_serve(cluster, requests).records
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+def test_dispatched_items_are_retired_in_both_modes(six_tenants, monkeypatch, mode):
+    """Exact mode, like sketch mode, holds a queue item only until it is
+    dispatched, dropped or shed: the event loop's ``items`` dict is empty
+    when it builds the report."""
+    import sys
+
+    import repro.serve.cluster as cluster_module
+
+    held_at_report = []
+
+    def counting(assemble):
+        def assemble_and_count(*args, **kwargs):
+            held_at_report.append(len(sys._getframe(1).f_locals["items"]))
+            return assemble(*args, **kwargs)
+
+        return assemble_and_count
+
+    for name in ("assemble_report", "assemble_sketch_report"):
+        monkeypatch.setattr(cluster_module, name, counting(getattr(cluster_module, name)))
+    cluster = Cluster(
+        six_tenants,
+        backend="cpu",
+        num_replicas=2,
+        policy="edf",
+        max_batch_size=8,
+        batch_timeout_s=50e-6,
+        queue_capacity=24,
+    )
+    rate = 1.5 * cluster.num_replicas / cluster.mean_service_s()
+    requests = LoadGenerator.bursty(six_tenants, rate, seed=4).generate(num_requests=60)
+    report = cluster.serve(requests, mode=mode)
+    assert report.completed > 0 and report.dropped > 0
+    assert held_at_report == [0]
