@@ -205,7 +205,7 @@ class FlowGNNBackend(_BackendBase):
             accelerator.run(graph, functional=resolved.request.functional)
             for graph in resolved.graphs
         ]
-        resources = estimate_resources(resolved.model, resolved.config)
+        resources = estimate_resources(accelerator.profile, resolved.config)
         power = (
             estimate_energy(results[0], resources).power.total_w if results else 0.0
         )

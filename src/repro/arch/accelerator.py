@@ -21,7 +21,13 @@ import numpy as np
 from ..graph import Graph, GraphStream, StreamStatistics, simulate_stream_consumption
 from ..nn.models.base import GNNModel, GNNOutput
 from .config import ArchitectureConfig
-from .simulator import SimulationResult, _mean, simulate_inference, weight_loading_cycles
+from .simulator import (
+    ModelProfile,
+    SimulationResult,
+    _mean,
+    simulate_inference,
+    weight_loading_cycles,
+)
 
 __all__ = ["StreamResult", "FlowGNNAccelerator"]
 
@@ -83,6 +89,10 @@ class FlowGNNAccelerator:
     the reference one; ``schedule_cache_info`` reports hit statistics, and
     ``use_schedule_cache=False`` restores the historical recompute-everything
     behaviour (used by :func:`repro.dse.naive_sweep` as a benchmark baseline).
+
+    The model's :class:`ModelProfile` is derived once, when the accelerator
+    is built, and every timing-only simulation reads it; like any profile it
+    is a snapshot of the model at that moment.
     """
 
     def __init__(
@@ -93,7 +103,8 @@ class FlowGNNAccelerator:
     ) -> None:
         self.model = model
         self.config = config or ArchitectureConfig()
-        self._weight_loading_cycles = weight_loading_cycles(self.model, self.config)
+        self.profile = ModelProfile.of(model)
+        self._weight_loading_cycles = weight_loading_cycles(self.profile, self.config)
         self._use_schedule_cache = use_schedule_cache
         self._schedule_fn = None  # built lazily: importing repro.dse here would cycle
 
@@ -118,9 +129,14 @@ class FlowGNNAccelerator:
     def run(self, graph: Graph, functional: bool = False) -> SimulationResult:
         """Process a single graph; returns cycles, latency and optional output."""
         return simulate_inference(
-            self.model, graph, self.config, functional=functional,
+            self._simulated(functional), graph, self.config, functional=functional,
             schedule_fn=self._schedule(),
         )
+
+    def _simulated(self, functional: bool):
+        """What :func:`simulate_inference` reads: the profile, unless the
+        simulation also runs the model's arithmetic."""
+        return self.model if functional else self.profile
 
     def infer(self, graph: Graph) -> GNNOutput:
         """Functional inference only (reference-exact output, no timing focus)."""
@@ -151,9 +167,10 @@ class FlowGNNAccelerator:
         """
         graph_list: List[Graph] = list(graphs)
         schedule_fn = self._schedule()
+        model = self._simulated(functional)
         results = [
             simulate_inference(
-                self.model, graph, self.config, functional=functional,
+                model, graph, self.config, functional=functional,
                 schedule_fn=schedule_fn,
             )
             for graph in graph_list

@@ -104,12 +104,20 @@ class RequestBlock:
     Yielded by :meth:`LoadGenerator.iter_request_blocks`: entries are sorted
     by ``(arrival_s, tenant_index, index)`` within the block, and every entry
     of block ``k`` sorts before every entry of block ``k + 1``.
+
+    A block holds one or more whole merge windows, in order.  ``windows[w]``
+    is the row where window ``w`` starts (``windows[0] == 0``); every arrival
+    of a window is strictly earlier than every arrival of the next.  The
+    windows depend only on the streams and :data:`STREAM_CHUNK`, not on how
+    they are grouped into blocks, so a consumer whose floats must not depend
+    on the grouping sums per window.
     """
 
     arrival_s: np.ndarray    # float64, sorted
     tenant_index: np.ndarray  # int64, into LoadGenerator.workloads
     index: np.ndarray        # int64, per-tenant sequence numbers
     graph_index: np.ndarray  # int64, into each tenant's graph pool
+    windows: np.ndarray      # int64, the row where each merge window starts
 
     def __len__(self) -> int:
         return int(self.arrival_s.size)
@@ -131,6 +139,37 @@ class RequestBlock:
             ):
                 tenant, deadline_s, priority = meta[ti]
                 yield ServingRequest(tenant, ti, idx, arrival, gi, deadline_s, priority)
+
+
+def _sorted_block(
+    parts: List[Tuple[np.ndarray, int, int]],
+    windows: List[int],
+    pools: np.ndarray,
+) -> RequestBlock:
+    """The block of merge-window parts, sorted on ``(arrival, tenant, index)``.
+
+    A part ``(arrivals, tenant, first)`` holds consecutive arrivals of one
+    tenant from its index ``first`` on, and the parts come window by
+    window, tenant by tenant, so a stable argsort of arrival alone is that
+    order.
+    """
+    arrivals, tenants, firsts = zip(*parts)
+    sizes = np.array([part.size for part in arrivals], dtype=np.int64)
+    arrival = np.concatenate(arrivals)
+    tenant = np.repeat(np.array(tenants, dtype=np.int64), sizes)
+    # Row j of part k is index firsts[k] + (j - the part's first row).
+    shift = np.cumsum(sizes) - sizes - np.array(firsts, dtype=np.int64)
+    index = np.arange(arrival.size, dtype=np.int64) - np.repeat(shift, sizes)
+    order = np.argsort(arrival, kind="stable")
+    arrival, tenant, index = arrival[order], tenant[order], index[order]
+    del order
+    return RequestBlock(
+        arrival_s=arrival,
+        tenant_index=tenant,
+        index=index,
+        graph_index=index % pools[tenant],
+        windows=np.array(windows, dtype=np.int64),
+    )
 
 
 def _check_sizing(num_requests: Optional[int], duration_s: Optional[float]) -> None:
@@ -627,13 +666,21 @@ class LoadGenerator:
     ) -> Iterator[RequestBlock]:
         """The merged stream as numpy :class:`RequestBlock` slices.
 
-        This is the one merge of the per-tenant ``iter_times`` streams.  The
-        window boundary is the smallest buffered-last timestamp over the
-        non-exhausted tenants, each tenant is refilled until its buffer passes
-        the boundary, and every buffered entry at or below it is emitted after
-        an ``(arrival, tenant, index)`` lexsort.  That makes each block
-        complete (no later entry can sort into it), so the concatenated blocks
-        are the union of the streams sorted on that key.
+        This is the one merge of the per-tenant ``iter_times`` streams.  It
+        takes the streams a window at a time.  The window boundary is the
+        smallest buffered-last timestamp over the non-exhausted tenants, each
+        tenant is refilled until its buffer passes the boundary, and every
+        buffered entry at or below it joins the window.  No later entry can
+        sort into a window, and every entry of the next window arrives
+        strictly later.
+
+        Windows are gathered until they hold at least :data:`STREAM_CHUNK`
+        rows, or the streams end, and then sorted as one block by a stable
+        argsort of arrival.  The rows are gathered window by window, and
+        within a window tenant by tenant in index order, so the stable sort
+        breaks arrival ties as the ``(arrival, tenant, index)`` key does.
+        The concatenated blocks are the union of the streams sorted on that
+        key, and each block's ``windows`` records where its windows start.
         """
         num_tenants = len(self.workloads)
         pools = np.array([w.num_pool_graphs for w in self.workloads], dtype=np.int64)
@@ -657,13 +704,18 @@ class LoadGenerator:
                 return
             bufs[i] = chunk if not bufs[i].size else np.concatenate([bufs[i], chunk])
 
+        # The pending block: one (arrivals, tenant, first index) part per
+        # (window, tenant), and the row where each window starts.
+        parts: List[Tuple[np.ndarray, int, int]] = []
+        windows: List[int] = []
+        rows = 0
         while True:
             for i in range(num_tenants):
                 while not exhausted[i] and not bufs[i].size:
                     refill(i)
-            active = [i for i in range(num_tenants) if not exhausted[i]]
             if not any(b.size for b in bufs):
-                return
+                break
+            active = [i for i in range(num_tenants) if not exhausted[i]]
             if active:
                 boundary = min(float(bufs[i][-1]) for i in active)
                 for i in active:
@@ -671,38 +723,23 @@ class LoadGenerator:
                         refill(i)
             else:
                 boundary = math.inf
-            parts_arrival: List[np.ndarray] = []
-            parts_tenant: List[np.ndarray] = []
-            parts_index: List[np.ndarray] = []
+            windows.append(rows)
             for i in range(num_tenants):
                 b = bufs[i]
-                if not b.size:
+                if not b.size or b[0] > boundary:
                     continue
-                cut = (
-                    b.size
-                    if boundary is math.inf
-                    else int(np.searchsorted(b, boundary, side="right"))
-                )
-                if not cut:
-                    continue
-                parts_arrival.append(b[:cut])
-                parts_tenant.append(np.full(cut, i, dtype=np.int64))
-                parts_index.append(np.arange(first[i], first[i] + cut, dtype=np.int64))
+                cut = int(b.searchsorted(boundary, side="right"))
+                parts.append((b[:cut], i, first[i]))
                 bufs[i] = b[cut:]
                 first[i] += cut
-            arrival = np.concatenate(parts_arrival)
-            tenant = np.concatenate(parts_tenant)
-            index = np.concatenate(parts_index)
-            order = np.lexsort((index, tenant, arrival))
-            arrival, tenant, index = arrival[order], tenant[order], index[order]
-            # Hold nothing but the block's own arrays across the yield.
-            del parts_arrival, parts_tenant, parts_index, order
-            yield RequestBlock(
-                arrival_s=arrival,
-                tenant_index=tenant,
-                index=index,
-                graph_index=index % pools[tenant],
-            )
+                rows += cut
+            if rows >= STREAM_CHUNK:
+                block = _sorted_block(parts, windows, pools)
+                # Hold nothing but the block's own arrays across the yield.
+                parts, windows, rows = [], [], 0
+                yield block
+        if rows:
+            yield _sorted_block(parts, windows, pools)
 
     # -- conveniences: split a cluster-wide rate by tenant share --------------
     @staticmethod

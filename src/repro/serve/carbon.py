@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..checks import finite_nonnegative
+from ..checks import finite_nonnegative, finite_positive
 
 __all__ = ["CarbonIntensity", "parse_carbon_trace", "J_PER_KWH"]
 
@@ -62,14 +62,17 @@ class CarbonIntensity:
                 f"carbon trace has {len(self.times_s)} times but "
                 f"{len(self.intensities)} intensities"
             )
+        for time_s in self.times_s:
+            finite_nonnegative(time_s, "carbon trace time")
         if self.times_s[0] != 0.0:
             raise ValueError("carbon trace must start at time 0.0")
         for earlier, later in zip(self.times_s, self.times_s[1:]):
-            if later <= earlier:
+            if not later > earlier:
                 raise ValueError("carbon trace times must be strictly ascending")
         for value in self.intensities:
             finite_nonnegative(value, "carbon intensity")
         if self.period_s is not None:
+            finite_positive(self.period_s, "carbon trace period_s")
             if self.period_s <= self.times_s[-1]:
                 raise ValueError(
                     f"period_s {self.period_s} must exceed the last segment start "

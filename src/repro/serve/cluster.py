@@ -1445,10 +1445,15 @@ class Cluster:
         each replica's sequential sum of ``finish - start``, so utilisation
         is bit-identical to the oracle.
 
-        Each block is then grouped by tenant once (a stable ``argsort``), and
-        :meth:`LatencySketch.observe_groups` folds every tenant's contiguous
-        rows into its sketch: each float total is one ``.sum()`` over the
-        tenant's rows in block order, everything else is order-free.
+        A block spans one or more merge windows, and every step below runs
+        once per block, so a block of many small windows costs what one
+        window of its size costs.  Each block is grouped by tenant once (a
+        stable ``argsort`` of a narrow copy of the tenant ids, which numpy
+        radix-sorts), and :meth:`LatencySketch.observe_groups` folds every
+        tenant's contiguous rows into its sketch.  The service, latency and
+        energy totals add one ``.sum()`` per (window, tenant) segment, in
+        window order, so they do not depend on how windows are grouped into
+        blocks; everything else is order-free.
 
         Queue depths replicate the exact trace's definition.  Cluster level:
         depth after the admissions of arrival instant ``t`` is
@@ -1475,6 +1480,7 @@ class Cluster:
 
         sink = _SketchSink(self)
         sketches = [sink.sketches[w.tenant] for w in workloads]
+        tenant_dtype = np.min_scalar_type(num_tenants)
         busy_time = [0.0] * num_replicas
         prev_finish = [0.0] * num_replicas
         replica_offset = 0          # global round-robin counter (mod R)
@@ -1547,9 +1553,17 @@ class Cluster:
 
             # Group the block by tenant: rows bounds[t]:bounds[t + 1] of each
             # column are tenant t's, in block order.
-            order = np.argsort(tenant_idx, kind="stable")
+            order = np.argsort(tenant_idx.astype(tenant_dtype), kind="stable")
             bounds = np.zeros(num_tenants + 1, dtype=np.int64)
             np.cumsum(np.bincount(tenant_idx, minlength=num_tenants), out=bounds[1:])
+            # A float-total segment starts at each tenant's first row and
+            # wherever its rows cross into a later window.
+            window_col = block.windows.searchsorted(order, side="right")
+            opens = np.ones(n + 1, dtype=bool)
+            np.not_equal(window_col[1:], window_col[:-1], out=opens[1:n])
+            opens[bounds] = True
+            segments = np.flatnonzero(opens[:n])
+            del window_col, opens
             finish_col = finishes[order]
             del finishes
             arrival_col = arrival[order]
@@ -1578,7 +1592,8 @@ class Cluster:
             energy_col = energy_lut[tenant_idx, block.graph_index][order]
             del order
             LatencySketch.observe_groups(
-                sketches, bounds, latency_col, service_col, energy_col, served, queue_col
+                sketches, bounds, latency_col, service_col, energy_col, served, queue_col,
+                segments,
             )
             del latency_col, finish_col, service_col, energy_col, queue_col
 

@@ -402,7 +402,8 @@ class LatencySketch:
       ``per_graph_latency_ms``) — count/sum, exactly;
     * **end-to-end** latency moments + log-bucketed p50/p99 (queueing and
       batching delay included, the view ``stream_statistics`` holds in exact
-      mode) — a :meth:`StreamingHistogram.log_spaced` histogram, because
+      mode) — a :meth:`StreamingHistogram.log_spaced` histogram, whose own
+      moments are :attr:`latency`, because
       marker-based P² can be arbitrarily wrong on the bimodal/heavy-tailed
       latency mixtures queueing produces, while the log histogram's error is
       bounded by its 2% bucket width for *any* distribution;
@@ -417,7 +418,6 @@ class LatencySketch:
     __slots__ = (
         "deadline_s",
         "service",
-        "latency",
         "quantiles",
         "energy_j_total",
         "deadline_misses",
@@ -429,13 +429,17 @@ class LatencySketch:
     def __init__(self, deadline_s: Optional[float] = None) -> None:
         self.deadline_s = deadline_s
         self.service = StreamingMoments()
-        self.latency = StreamingMoments()
         self.quantiles = StreamingHistogram.log_spaced()
         self.energy_j_total = 0.0
         self.deadline_misses = 0
         self.replicas: set = set()
         self.batch = StreamingMoments()
         self.queue = StreamingMoments()
+
+    @property
+    def latency(self) -> StreamingMoments:
+        """End-to-end latency moments: the latency histogram's own."""
+        return self.quantiles.moments
 
     @property
     def completed(self) -> int:
@@ -460,7 +464,6 @@ class LatencySketch:
         row.  The batch-size sum adds one exact product (integer floats)."""
         self.service.extend(services)
         self.latency.extend(latencies)
-        self.quantiles.moments.extend(latencies)
         counts, edges, deadline = self.quantiles.counts, self.quantiles.edges, self.deadline_s
         for latency_s in latencies:
             counts[bisect_right(edges, latency_s)] += 1
@@ -481,6 +484,7 @@ class LatencySketch:
         energies_j: np.ndarray,
         served: np.ndarray,
         queue_depths: np.ndarray,
+        segments: Optional[np.ndarray] = None,
     ) -> None:
         """Batch-1 completions of many sketches at once (the FIFO fast path).
 
@@ -489,9 +493,13 @@ class LatencySketch:
         whether replica ``r`` served any of them, and ``queue_depths`` holds
         each row's (integer) queue depth at its arrival.  Counts, extrema, buckets,
         deadline misses, replica sets and the integer queue moments are
-        what observing the rows one by one gives.  Each float total is one
-        ``.sum()`` of the group's contiguous rows, as
-        :meth:`StreamingMoments.update_many` adds it.
+        what observing the rows one by one gives.
+
+        ``segments`` are the sorted rows where float-total segments start;
+        every non-empty group starts one, and by default each group is one
+        segment.  A group's service, latency and energy totals add one
+        ``.sum()`` of each of its segments' contiguous rows, in row order,
+        as :meth:`StreamingMoments.update_many` on each segment would.
         """
         bounds = np.asarray(bounds, dtype=np.int64)
         sizes = np.diff(bounds)
@@ -520,19 +528,32 @@ class LatencySketch:
         queue_total = np.add.reduceat(queue_depths, firsts).tolist()
         queue_low = np.minimum.reduceat(queue_depths, firsts).tolist()
         queue_high = np.maximum.reduceat(queue_depths, firsts).tolist()
+        # The float totals, one .sum() per segment (np.add.reduceat would
+        # add in another order).  Group j's segments are
+        # first_seg[j]:first_seg[j + 1].
+        cuts = firsts if segments is None else np.asarray(segments, dtype=np.int64)
+        first_seg = cuts.searchsorted(firsts).tolist() + [cuts.size]
+        cuts = cuts.tolist()
+        spans = list(zip(cuts, cuts[1:] + [int(bounds[-1])]))
+        service_sums = [float(services_s[lo:hi].sum()) for lo, hi in spans]
+        latency_sums = [float(latencies_s[lo:hi].sum()) for lo, hi in spans]
+        energy_sums = [float(energies_j[lo:hi].sum()) for lo, hi in spans]
         served_rows = served.tolist()
         edges = bounds.tolist()
         for j, g in enumerate(present.tolist()):
             sketch = sketches[g]
             lo, hi = edges[g], edges[g + 1]
             count = hi - lo
-            latencies = latencies_s[lo:hi]
-            sketch.service.merge(count, float(services_s[lo:hi].sum()), svc_low[j], svc_high[j])
-            latency_total = float(latencies.sum())
-            sketch.latency.merge(count, latency_total, lat_low[j], lat_high[j])
-            sketch.quantiles.moments.merge(count, latency_total, lat_low[j], lat_high[j])
-            sketch.quantiles._count(latencies)
-            sketch.energy_j_total += float(energies_j[lo:hi].sum())
+            service, latency = sketch.service, sketch.latency
+            a, b = first_seg[j], first_seg[j + 1]
+            service.merge(count, service_sums[a], svc_low[j], svc_high[j])
+            latency.merge(count, latency_sums[a], lat_low[j], lat_high[j])
+            sketch.energy_j_total += energy_sums[a]
+            for k in range(a + 1, b):
+                service.total += service_sums[k]
+                latency.total += latency_sums[k]
+                sketch.energy_j_total += energy_sums[k]
+            sketch.quantiles._count(latencies_s[lo:hi])
             sketch.replicas.update(compress(range(len(served_rows[g])), served_rows[g]))
             sketch.batch.merge(count, float(count), 1.0, 1.0)
             sketch.deadline_misses += misses[j]

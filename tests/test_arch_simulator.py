@@ -1,5 +1,6 @@
 """Tests for the end-to-end simulator and the FlowGNNAccelerator API."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -276,6 +277,51 @@ class TestAccelerator:
         # FlowGNN latency is far below a 1 ms arrival interval: no misses.
         assert stats.deadline_miss_count() == 0
         assert stats.mean_latency_s < 1e-3
+
+
+class TestAcceleratorProfile:
+    """The accelerator derives its model's profile once, when it is built."""
+
+    @pytest.mark.parametrize("builder", [build_gin, build_gin_virtual_node], ids=["gin", "gin-vn"])
+    def test_results_equal_the_per_graph_path(self, builder, molhiv_sample):
+        model = builder(
+            input_dim=molhiv_sample.node_feature_dim,
+            edge_input_dim=molhiv_sample.edge_feature_dim,
+            num_layers=3,
+            hidden_dim=32,
+            seed=5,
+        )
+        graphs = list(molhiv_sample)
+        config = ArchitectureConfig(num_nt_units=3, num_mp_units=2)
+        accelerator = FlowGNNAccelerator(model, config)
+        stream = accelerator.run_stream(graphs)
+        singles = [accelerator.run(graph) for graph in graphs]
+        for graph, streamed, single in zip(graphs, stream.per_graph_results, singles):
+            reference = simulate_inference(model, graph, config)
+            for name in [f.name for f in dataclasses.fields(SimulationResult)]:
+                assert getattr(streamed, name) == getattr(reference, name), name
+                assert getattr(single, name) == getattr(reference, name), name
+            assert streamed.total_cycles == reference.total_cycles
+        assert stream.weight_loading_cycles == weight_loading_cycles(model, config)
+
+    def test_sixteen_graph_measure_derives_one_profile(self, gin_model, monkeypatch):
+        from repro.api import InferenceRequest, get_backend
+        from repro.datasets import make_molhiv_like
+
+        graphs = list(make_molhiv_like(num_graphs=16, seed=3))
+        request = InferenceRequest(model=gin_model, dataset=graphs)
+        derived = []  # every model ModelProfile.of derives a profile of
+        original = ModelProfile.of.__func__
+
+        def counting(cls, model):
+            if not isinstance(model, ModelProfile):
+                derived.append(model)
+            return original(cls, model)
+
+        monkeypatch.setattr(ModelProfile, "of", classmethod(counting))
+        measurement = get_backend("flowgnn").measure(request)
+        assert measurement.latencies_s.size == 16
+        assert derived == [gin_model]
 
 
 class TestAcceleratorScheduleCache:

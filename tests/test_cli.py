@@ -939,3 +939,26 @@ class TestNonFiniteControlInputs:
         with pytest.raises(ValueError, match="workers must be finite and >= 0"):
             Engine(workers=-1)
         assert Engine(workers=0).workers == 0
+
+
+class TestNonFiniteCarbonTraces:
+    """A carbon trace whose times or period are not finite is rejected when
+    it is built, instead of integrating to 0.0 or raising mid-run."""
+
+    def test_nan_time_row_exits_2_with_one_line(self, tmp_path):
+        trace = tmp_path / "carbon.csv"
+        trace.write_text("time_s,intensity\n0,300\nnan,200\n")
+        proc = _repro_in_subprocess(*_TINY_SERVE, "--carbon-trace", f"trace:{trace}")
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert "carbon trace time must be finite and >= 0, got nan" in proc.stderr
+
+    @pytest.mark.parametrize("times_s", [(0.0, math.nan), (0.0, math.inf), (math.nan,)])
+    def test_non_finite_time_is_rejected(self, times_s):
+        with pytest.raises(ValueError, match="carbon trace time must be finite and >= 0"):
+            CarbonIntensity(times_s=times_s, intensities=(300.0,) * len(times_s))
+
+    @pytest.mark.parametrize("period_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_period_is_rejected(self, period_s):
+        with pytest.raises(ValueError, match="carbon trace period_s must be finite and > 0"):
+            CarbonIntensity(times_s=(0.0,), intensities=(300.0,), period_s=period_s)

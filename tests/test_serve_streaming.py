@@ -1,6 +1,6 @@
 """Streaming load generation and serving vs. their references.
 
-Four contracts:
+Five contracts:
 
 * **arrival streams** — every built-in process's ``times()`` matches golden
   digests recorded from the eager implementation
@@ -12,6 +12,10 @@ Four contracts:
 * **the streaming fast path** — ``serve_stream``'s vectorised FIFO path at
   7-, 64- and 8,192-row chunks matches digests of its report and of every
   tenant sketch's floats (``.hex()``), counts and replica sets;
+* **merge windows** — on generated scenarios, the blocks regroup exactly
+  the windows of a naive merge that yields one window at a time, and each
+  tenant's fast-path service, latency and energy totals add one ``.sum()``
+  per window of its exact-mode rows;
 * **sketch-mode reports** — on the full policy x options contract matrix,
   counts, drops, utilisation, max queue depth, deadline misses and maxima
   are identical to exact mode; means match to float-sum reassociation
@@ -27,6 +31,7 @@ repo root::
     PYTHONPATH=src python tests/test_serve_streaming.py
 """
 
+import bisect
 import functools
 import hashlib
 import json
@@ -37,6 +42,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import make_hep_like, make_molhiv_like
 from repro.serve import (
@@ -50,6 +57,7 @@ from repro.serve import (
     Workload,
     sketch_nbytes,
 )
+from repro.serve.arrivals import REQUEST_ORDER
 
 SEEDS = [0, 1, 2]
 
@@ -455,6 +463,136 @@ class TestFastPathDigests:
         """The vectorised FIFO fast path, bit for bit: report, every sketch
         float, histogram counts, queue moments and replica sets."""
         assert _digest_serve_stream(case) == golden["serve_stream"][case]
+
+
+# ---------------------------------------------------------------------------
+# The window contract: blocks are whole merge windows, and the fast path's
+# float totals add one .sum() per (window, tenant)
+# ---------------------------------------------------------------------------
+def _naive_windows(generator, **sizing):
+    """The merge windows of a merge that yields every window on its own.
+
+    Each window is its ``(arrival, tenant, index)`` rows, sorted: every
+    buffered arrival at or below the smallest buffered-last arrival of the
+    tenants still streaming, after each of those tenants has been refilled
+    past it.
+    """
+    streams = [
+        generator.arrival_process(w.tenant).iter_times(rng=generator.rng_for(i), **sizing)
+        for i, w in enumerate(generator.workloads)
+    ]
+    count = len(streams)
+    bufs = [[] for _ in range(count)]
+    first = [0] * count
+    done = [False] * count
+
+    def refill(i):
+        chunk = next(streams[i], None)
+        if chunk is None:
+            done[i] = True
+        else:
+            bufs[i].extend(chunk.tolist())
+
+    windows = []
+    while True:
+        for i in range(count):
+            while not done[i] and not bufs[i]:
+                refill(i)
+        if not any(bufs):
+            return windows
+        streaming = [i for i in range(count) if not done[i]]
+        boundary = min(bufs[i][-1] for i in streaming) if streaming else float("inf")
+        for i in streaming:
+            while not done[i] and bufs[i][-1] <= boundary:
+                refill(i)
+        rows = []
+        for i in range(count):
+            cut = bisect.bisect_right(bufs[i], boundary)
+            rows.extend((t, i, first[i] + k) for k, t in enumerate(bufs[i][:cut]))
+            del bufs[i][:cut]
+            first[i] += cut
+        windows.append(sorted(rows))
+
+
+#: How a generated case sizes its stream: a per-tenant count, a horizon that
+#: holds about this many arrivals across the tenants, or both.
+WINDOW_SIZINGS = st.one_of(
+    st.builds(lambda n: {"num_requests": n}, st.integers(0, 60)),
+    st.builds(lambda h: {"horizon": h}, st.floats(0.0, 150.0)),
+    st.builds(
+        lambda n, h: {"num_requests": n, "horizon": h}, st.integers(0, 60), st.floats(0.0, 150.0)
+    ),
+)
+
+
+class TestWindowContract:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        tenants=st.integers(1, 6),
+        replicas=st.integers(1, 4),
+        kind=st.sampled_from(["poisson", "bursty", "constant", "diurnal", "trace"]),
+        sizing=WINDOW_SIZINGS,
+        chunk=st.one_of(st.integers(1, 16), st.integers(17, 400)),
+        load=st.sampled_from([0.6, 1.0, 1.4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_hold_whole_windows_and_totals_add_per_window(
+        self, tenants, replicas, kind, sizing, chunk, load, seed
+    ):
+        """Blocks regroup exactly the naive merge's windows, each yielded as
+        soon as it holds ``STREAM_CHUNK`` rows; and each tenant's
+        ``serve_stream`` service, latency and energy totals are, by
+        ``.hex()``, a running total of one ``.sum()`` per window of its
+        exact-mode rows."""
+        cluster = _fast_path_cluster().with_options(num_replicas=replicas)
+        workloads = cluster.workloads[:tenants]
+        rate = load * replicas / cluster.mean_service_s()
+        if kind == "trace":
+            # Every tenant replays the same stamps: arrival ties across tenants.
+            generator = LoadGenerator(workloads, TraceArrivals(TRACE_STAMPS[::3]), seed=seed)
+        else:
+            generator = getattr(LoadGenerator, kind)(workloads, rate, seed=seed)
+        sizing = dict(sizing)
+        if "horizon" in sizing:
+            sizing["duration_s"] = sizing.pop("horizon") / rate
+
+        with mock.patch("repro.serve.arrivals.STREAM_CHUNK", chunk):
+            windows = _naive_windows(generator, **sizing)
+            blocks = list(generator.iter_request_blocks(**sizing))
+            fast = cluster.serve_stream(generator, **sizing)
+        expected = [row for window in windows for row in window]
+        expected_starts = np.cumsum([0] + [len(window) for window in windows])[:-1].tolist()
+        starts, offset = [], 0
+        for k, block in enumerate(blocks):
+            rows = zip(block.arrival_s.tolist(), block.tenant_index.tolist(), block.index.tolist())
+            assert list(rows) == expected[offset : offset + len(block)]
+            assert block.windows[0] == 0 and block.windows[-1] < chunk
+            if k + 1 < len(blocks):
+                assert len(block) >= chunk
+            starts.extend((block.windows + offset).tolist())
+            offset += len(block)
+        assert offset == len(expected)
+        assert starts == expected_starts
+
+        window_of = {(t, i): w for w, window in enumerate(windows) for _, t, i in window}
+        exact = cluster.serve_stream(generator, mode="exact", **sizing)
+        by_tenant_window = {}
+        for record in sorted(exact.records, key=lambda r: REQUEST_ORDER(r.request)):
+            request = record.request
+            key = (request.tenant, window_of[(request.tenant_index, request.index)])
+            by_tenant_window.setdefault(key, []).append(record)
+        for workload in workloads:
+            service = latency = energy = 0.0
+            for w in range(len(windows)):
+                rows = by_tenant_window.get((workload.tenant, w), [])
+                if rows:
+                    service += float(np.array([r.service_s for r in rows]).sum())
+                    latency += float(np.array([r.latency_s for r in rows]).sum())
+                    energy += float(np.array([r.energy_j for r in rows]).sum())
+            sketch = fast.tenants[workload.tenant].report.sketch
+            assert sketch.service.total.hex() == service.hex()
+            assert sketch.latency.total.hex() == latency.hex()
+            assert sketch.energy_j_total.hex() == energy.hex()
 
 
 # ---------------------------------------------------------------------------
