@@ -12,7 +12,18 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["finite_nonnegative", "finite_positive"]
+__all__ = ["finite", "finite_nonnegative", "finite_positive"]
+
+
+def finite(value, name: str):
+    """``value`` when it is finite; otherwise ``ValueError``.
+
+    Check a float with it before ``int()``, which raises ``OverflowError``
+    on ±inf (an exception the CLI does not turn into one line).
+    """
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def finite_nonnegative(value, name: str):

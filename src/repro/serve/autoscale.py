@@ -57,7 +57,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..checks import finite_nonnegative, finite_positive
+from ..checks import finite, finite_nonnegative, finite_positive
 
 __all__ = [
     "AutoscalerMetrics",
@@ -318,12 +318,12 @@ class AdmissionControl:
                 live = state.live
                 if not live:
                     return True
+                busy_until, queued_work, now = state.busy_until, state.queued_work, state.now
                 backlog = 0.0
                 for replica in live:
-                    backlog += (
-                        max(state.busy_until[replica] - state.now, 0.0)
-                        + state.queued_work[replica]
-                    )
+                    # max(wait, 0.0), the same float for -0.0 and NaN.
+                    wait = busy_until[replica] - now
+                    backlog += (0.0 if 0.0 > wait else wait) + queued_work[replica]
                 predicted = item.service_s + backlog / len(live)
                 budget = self.deadline_headroom * (deadline - item.request.arrival_s)
                 if predicted > budget:
@@ -457,7 +457,8 @@ def parse_autoscaler(text: str) -> Autoscaler:
                 f"expected one of {sorted(keys)}"
             )
         attr, cast = keys[key]
-        kwargs[attr] = cast(float(value))
+        number = float(value)
+        kwargs[attr] = int(finite(number, attr)) if cast is int else number
     return factory(**kwargs)
 
 
@@ -491,7 +492,7 @@ def parse_admission(text: str) -> AdmissionControl:
             elif key == "release":
                 kwargs["release_headroom"] = float(value)
             elif key == "queue":
-                kwargs["max_queue_depth"] = int(float(value))
+                kwargs["max_queue_depth"] = int(finite(float(value), "max_queue_depth"))
             elif key == "headroom":
                 kwargs["deadline_headroom"] = float(value)
             else:
@@ -511,7 +512,7 @@ def parse_admission(text: str) -> AdmissionControl:
         if not eq:
             raise ValueError(f"cannot parse admission parameter {pair!r}; expected k=v")
         if key == "queue":
-            max_queue_depth = int(float(value))
+            max_queue_depth = int(finite(float(value), "max_queue_depth"))
         elif key == "headroom":
             deadline_headroom = float(value)
         else:

@@ -7,8 +7,11 @@ segment holds forever, or the whole trace repeats every ``period_s`` seconds
 when a period is given).  Traces are plain frozen data, mirroring
 :class:`~repro.serve.arrivals.TraceArrivals`: building one never touches a
 random generator, and the same trace replayed against the same cluster
-produces a bit-identical :class:`~repro.serve.ServingReport` (pinned by the
-naive integrator in :mod:`repro.serve.reference`).
+produces a bit-identical :class:`~repro.serve.ServingReport`.  The
+integral visits only the segments an interval overlaps, and returns a
+one-segment interval's single term directly; ``tests/test_serve_carbon.py::
+test_overlap_only_integral_is_bit_identical_to_full_scan`` pins both against
+a scan over every segment.
 
 The cluster charges carbon as ``gco2 = ∫ power(t) × intensity(t) dt``; since
 replica power is itself piecewise constant between event instants, the
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..checks import finite_nonnegative, finite_positive
+from ..checks import finite, finite_nonnegative, finite_positive
 
 __all__ = ["CarbonIntensity", "parse_carbon_trace", "J_PER_KWH"]
 
@@ -175,7 +178,7 @@ class CarbonIntensity:
                 low=known["low"],
                 high=known["high"],
                 period_s=known["period"],
-                steps=int(known["steps"]),
+                steps=int(finite(known["steps"], "diurnal steps")),
             )
         if name == "constant":
             if not rest:
@@ -212,19 +215,27 @@ class CarbonIntensity:
         """``∫ intensity dt`` over ``[t0, t1]`` in g·s/kWh (exact segment sums)."""
         if t1 <= t0:
             return 0.0
-        if self.period_s is None:
-            return self._integral_aperiodic(t0, t1)
         period = self.period_s
-        n0 = math.floor(t0 / period)
-        n1 = math.floor(t1 / period)
-        if n0 == n1:
-            return self._integral_aperiodic(t0 - n0 * period, t1 - n0 * period)
-        total = self._integral_aperiodic(t0 - n0 * period, period)
-        if n1 - n0 > 1:
-            # Skipped when no whole period lies between: it would add +0.0.
-            total += self._integral_aperiodic(0.0, period) * (n1 - n0 - 1)
-        total += self._integral_aperiodic(0.0, t1 - n1 * period)
-        return total
+        if period is None:
+            a, b = t0, t1
+        else:
+            n0 = math.floor(t0 / period)
+            n1 = math.floor(t1 / period)
+            if n0 != n1:
+                total = self._integral_aperiodic(t0 - n0 * period, period)
+                if n1 - n0 > 1:
+                    # Skipped when no whole period lies between: it would add +0.0.
+                    total += self._integral_aperiodic(0.0, period) * (n1 - n0 - 1)
+                total += self._integral_aperiodic(0.0, t1 - n1 * period)
+                return total
+            a, b = t0 - n0 * period, t1 - n0 * period
+        # Most intervals lie inside one segment, whose term is the only one
+        # the scan would add (NaN fails both bounds and takes the scan).
+        times = self.times_s
+        i = bisect.bisect_right(times, a) - 1
+        if i >= 0 and times[i] <= a and b <= (times[i + 1] if i + 1 < len(times) else math.inf):
+            return 0.0 + self.intensities[i] * (b - a)
+        return self._integral_aperiodic(a, b)
 
     def _integral_aperiodic(self, t0: float, t1: float) -> float:
         """Segment-sum integral treating the trace as non-repeating.

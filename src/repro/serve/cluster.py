@@ -431,13 +431,28 @@ class _ExactSink:
         self.shed.append(request)
 
 
+#: Rows a :class:`_SketchSink` buffers in any one list before it folds every
+#: buffer into its sketches, which bounds the buffers' memory.
+SKETCH_FLUSH_ROWS = 1024
+
+
 class _SketchSink:
-    """Folds completed requests into online accumulators as they happen.
+    """Folds completed requests into online accumulators, a chunk at a time.
 
     The streaming counterpart of :class:`_ExactSink`: per-tenant
     :class:`~repro.serve.sketches.LatencySketch` objects, two cluster-level
     histograms, drop counters and the horizon maxima — O(tenants + replicas)
     memory however many requests stream through.
+
+    Completions, admission queue depths and per-instant queue depths are
+    appended to plain lists as they happen, and :meth:`flush` folds them
+    with numpy once any list holds :data:`SKETCH_FLUSH_ROWS` rows, and
+    before the report is assembled.  Every float comes out as folding each
+    row on its own would give: the service, latency and energy totals
+    continue each tenant's running total in dispatch order
+    (:meth:`LatencySketch.observe_sequence`), and the batch sizes and queue
+    depths are integers, which sum exactly in any order.  Replica sets and
+    the completion heap below stay scalar.
 
     Per-tenant queue depth mirrors
     :func:`~repro.graph.queue_depths_at_arrivals` exactly: at each admission
@@ -460,9 +475,18 @@ class _SketchSink:
         "max_completion_s",
         "max_dropped_arrival_s",
         "max_shed_arrival_s",
+        "_positions",
         "_qd_arrived",
         "_qd_popped",
         "_qd_heaps",
+        "_batch_tenants",
+        "_batch_sizes",
+        "_latencies",
+        "_services",
+        "_energies",
+        "_admit_tenants",
+        "_admit_depths",
+        "_instant_depths",
     )
 
     def __init__(self, cluster: "Cluster") -> None:
@@ -478,9 +502,20 @@ class _SketchSink:
         self.max_completion_s = -math.inf
         self.max_dropped_arrival_s = -math.inf
         self.max_shed_arrival_s = -math.inf
+        self._positions = {w.tenant: i for i, w in enumerate(cluster.workloads)}
         self._qd_arrived = {w.tenant: 0 for w in cluster.workloads}
         self._qd_popped = {w.tenant: 0 for w in cluster.workloads}
         self._qd_heaps: Dict[str, List[Tuple[float, int]]] = {w.tenant: [] for w in cluster.workloads}
+        # Buffered rows: one per batch, per completion, per admission and
+        # per sampled instant.
+        self._batch_tenants: List[int] = []
+        self._batch_sizes: List[int] = []
+        self._latencies: List[float] = []
+        self._services: List[float] = []
+        self._energies: List[float] = []
+        self._admit_tenants: List[int] = []
+        self._admit_depths: List[int] = []
+        self._instant_depths: List[int] = []
 
     def on_batch(
         self,
@@ -491,16 +526,23 @@ class _SketchSink:
         end_s: float,
         replica: int,
     ) -> None:
-        """Fold one dispatched (single-tenant) batch into its tenant's sketch."""
+        """Buffer one dispatched (single-tenant) batch's completions."""
         size = len(batch)
-        self.batch_hist.update(float(size))
         tenant = batch[0].request.tenant
-        latencies = [end_s - item.request.arrival_s for item in batch]
-        self.sketches[tenant].observe_batch(latencies, services, energies, replica, size)
+        self._batch_tenants.append(self._positions[tenant])
+        self._batch_sizes.append(size)
+        latencies = self._latencies
+        for item in batch:
+            latencies.append(end_s - item.request.arrival_s)
+        self._services.extend(services)
+        self._energies.extend(energies)
+        self.sketches[tenant].replicas.add(replica)
         # One heap entry per batch: its members all complete together.
         heapq.heappush(self._qd_heaps[tenant], (end_s, size))
         if end_s > self.max_completion_s:
             self.max_completion_s = end_s
+        if len(latencies) >= SKETCH_FLUSH_ROWS:
+            self.flush()
 
     def on_admit(self, request: ServingRequest) -> None:
         """Sample the tenant's queue depth at this (admitted) arrival."""
@@ -512,8 +554,11 @@ class _SketchSink:
             popped += heapq.heappop(heap)[1]
         self._qd_popped[tenant] = popped
         arrived = self._qd_arrived[tenant]
-        self.sketches[tenant].queue.update(float(arrived - popped))
+        self._admit_tenants.append(self._positions[tenant])
+        self._admit_depths.append(arrived - popped)
         self._qd_arrived[tenant] = arrived + 1
+        if len(self._admit_depths) >= SKETCH_FLUSH_ROWS:
+            self.flush()
 
     def on_drop(self, request: ServingRequest) -> None:
         self.dropped_by_tenant[request.tenant] += 1
@@ -528,7 +573,56 @@ class _SketchSink:
             self.max_shed_arrival_s = request.arrival_s
 
     def on_instant_sample(self, depth: int) -> None:
-        self.queue_hist.update(float(depth))
+        self._instant_depths.append(depth)
+        if len(self._instant_depths) >= SKETCH_FLUSH_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold every buffered row into the sketches and histograms."""
+        sketches = list(self.sketches.values())
+        if self._batch_sizes:
+            sizes = np.array(self._batch_sizes, dtype=np.int64)
+            self.batch_hist.update_many(sizes)
+            row_sizes = np.repeat(sizes, sizes)
+            order, bounds = _group_by(np.repeat(self._batch_tenants, sizes), len(sketches))
+            LatencySketch.observe_sequence(
+                sketches,
+                bounds,
+                np.array(self._latencies)[order],
+                np.array(self._services)[order],
+                np.array(self._energies)[order],
+                row_sizes[order],
+            )
+            for rows in (self._batch_tenants, self._batch_sizes, self._latencies, self._services, self._energies):
+                rows.clear()
+        if self._admit_depths:
+            order, bounds = _group_by(np.array(self._admit_tenants), len(sketches))
+            depths = np.array(self._admit_depths, dtype=np.int64)[order]
+            counts = np.diff(bounds)
+            present = np.flatnonzero(counts)
+            firsts = bounds[present]
+            for g, count, total, low, high in zip(
+                present.tolist(),
+                counts[present].tolist(),
+                np.add.reduceat(depths, firsts).tolist(),
+                np.minimum.reduceat(depths, firsts).tolist(),
+                np.maximum.reduceat(depths, firsts).tolist(),
+            ):
+                sketches[g].queue.merge(count, float(total), float(low), float(high))
+            self._admit_tenants.clear()
+            self._admit_depths.clear()
+        if self._instant_depths:
+            self.queue_hist.update_many(np.array(self._instant_depths, dtype=np.float64))
+            self._instant_depths.clear()
+
+
+def _group_by(keys: np.ndarray, num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable order that groups ``keys`` (ints in ``[0, num_groups)``), and
+    each group's bounds in it: group ``g`` is ``order[bounds[g]:bounds[g + 1]]``."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_groups), out=bounds[1:])
+    return order, bounds
 
 
 @dataclass
@@ -1275,6 +1369,10 @@ class Cluster:
         pull()
         while events:
             now = events[0][0]
+            if now != now:
+                # A NaN instant drains no event (NaN == NaN is false), so the
+                # loop would dispatch at it forever.
+                raise ValueError("an event time is NaN; arrival and control times must be numbers")
             state.now = now
             admitting = False
             # Drain every event at this instant before dispatching, so a
@@ -1412,6 +1510,7 @@ class Cluster:
                 power_state=power_state,
                 **dynamic_fields,
             )
+        sink.flush()
         return assemble_sketch_report(
             cluster=self,
             sketches=sink.sketches,

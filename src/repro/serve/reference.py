@@ -446,6 +446,10 @@ def reference_serve(
 
     while events:
         now = events[0][0]
+        if now != now:
+            # A NaN instant drains no event (NaN == NaN is false), so the
+            # loop would dispatch at it forever.
+            raise ValueError("an event time is NaN; arrival and control times must be numbers")
         state.now = now
         while events and events[0][0] == now:
             _, kind, payload = heapq.heappop(events)

@@ -73,19 +73,12 @@ class StreamingMoments:
         self.max = -math.inf
 
     def update(self, value: float) -> None:
-        self.extend((value,))
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Fold ``values`` in order: the running sum adds them one at a time."""
-        total, low, high = self.total, self.min, self.max
-        for value in values:
-            total += value
-            if value < low:
-                low = value
-            if value > high:
-                high = value
-        self.count += len(values)
-        self.total, self.min, self.max = total, low, high
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def update_many(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -454,26 +447,54 @@ class LatencySketch:
         batch_size: int,
     ) -> None:
         """One completed request."""
-        self.observe_batch([latency_s], [service_s], [energy_j], replica, batch_size)
-
-    def observe_batch(
-        self, latencies: List[float], services: List[float], energies: List[float], replica: int, batch_size: int
-    ) -> None:
-        """The completions of one dispatched batch (the event loop's unit),
-        folded in order as :meth:`observe` on each would, with no call per
-        row.  The batch-size sum adds one exact product (integer floats)."""
-        self.service.extend(services)
-        self.latency.extend(latencies)
-        counts, edges, deadline = self.quantiles.counts, self.quantiles.edges, self.deadline_s
-        for latency_s in latencies:
-            counts[bisect_right(edges, latency_s)] += 1
-            if deadline is not None and latency_s > deadline and abs(latency_s - deadline) > 1e-9 * abs(deadline):
-                self.deadline_misses += 1
-        for energy_j in energies:
-            self.energy_j_total += energy_j
+        self.service.update(service_s)
+        self.quantiles.update(latency_s)
+        deadline = self.deadline_s
+        if deadline is not None and latency_s > deadline and abs(latency_s - deadline) > 1e-9 * abs(deadline):
+            self.deadline_misses += 1
+        self.energy_j_total += energy_j
         self.replicas.add(replica)
-        size = float(batch_size)
-        self.batch.merge(len(latencies), size * len(latencies), size, size)
+        self.batch.update(float(batch_size))
+
+    @staticmethod
+    def observe_sequence(
+        sketches: Sequence["LatencySketch"],
+        bounds: Sequence[int],
+        latencies_s: np.ndarray,
+        services_s: np.ndarray,
+        energies_j: np.ndarray,
+        batch_sizes: np.ndarray,
+    ) -> None:
+        """Completions of many sketches at once, bit for bit as :meth:`observe`
+        on each row in turn (the scalar event loop's sink).
+
+        The columns are grouped as for :meth:`observe_groups`: rows
+        ``bounds[g]:bounds[g + 1]`` belong to ``sketches[g]``, in the order
+        it saw them, and ``batch_sizes`` holds each row's dispatch batch
+        size.  The service, latency and energy totals continue each
+        sketch's running total row by row: ``np.add.accumulate`` is the
+        left fold ``total += x``, where ``.sum()`` and ``np.add.reduceat``
+        add pairwise.  Batch sizes are integers, which sum exactly in any
+        order.  Replica sets are the caller's, as they are per batch.
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        present, firsts = _fold_groups(sketches, bounds, latencies_s, services_s)
+        if not present:
+            return
+        size_total = np.add.reduceat(batch_sizes, firsts).tolist()
+        size_low = np.minimum.reduceat(batch_sizes, firsts).tolist()
+        size_high = np.maximum.reduceat(batch_sizes, firsts).tolist()
+        floats = np.stack((services_s, latencies_s, energies_j))
+        edges = bounds.tolist()
+        for j, g in enumerate(present):
+            sketch = sketches[g]
+            lo, hi = edges[g], edges[g + 1]
+            service, latency = sketch.service, sketch.latency
+            # Each running total leads its rows; the last column is the fold.
+            start = np.array([[service.total], [latency.total], [sketch.energy_j_total]])
+            folded = np.add.accumulate(np.concatenate((start, floats[:, lo:hi]), axis=1), axis=1)
+            service.total, latency.total, sketch.energy_j_total = folded[:, -1].tolist()
+            sketch.batch.merge(hi - lo, float(size_total[j]), float(size_low[j]), float(size_high[j]))
 
     @staticmethod
     def observe_groups(
@@ -502,29 +523,9 @@ class LatencySketch:
         as :meth:`StreamingMoments.update_many` on each segment would.
         """
         bounds = np.asarray(bounds, dtype=np.int64)
-        sizes = np.diff(bounds)
-        present = np.flatnonzero(sizes)
-        if not present.size:
+        present, firsts = _fold_groups(sketches, bounds, latencies_s, services_s)
+        if not present:
             return
-        firsts = bounds[present]
-        lat_low = np.minimum.reduceat(latencies_s, firsts).tolist()
-        lat_high = np.maximum.reduceat(latencies_s, firsts).tolist()
-        svc_low = np.minimum.reduceat(services_s, firsts).tolist()
-        svc_high = np.maximum.reduceat(services_s, firsts).tolist()
-        misses = [0] * present.size
-        deadlines = np.array(
-            [math.nan if s.deadline_s is None else s.deadline_s for s in sketches],
-            dtype=np.float64,
-        )
-        if not np.isnan(deadlines).all():
-            # The float-tolerant predicate of observe(), row by row.
-            per_row = np.repeat(deadlines, sizes)
-            over = latencies_s > per_row
-            tolerance = np.repeat(1e-9 * np.abs(deadlines), sizes)
-            np.subtract(latencies_s, per_row, out=per_row)
-            over &= ~(np.abs(per_row, out=per_row) <= tolerance)
-            del per_row, tolerance
-            misses = np.add.reduceat(over, firsts, dtype=np.int64).tolist()
         queue_total = np.add.reduceat(queue_depths, firsts).tolist()
         queue_low = np.minimum.reduceat(queue_depths, firsts).tolist()
         queue_high = np.maximum.reduceat(queue_depths, firsts).tolist()
@@ -540,23 +541,16 @@ class LatencySketch:
         energy_sums = [float(energies_j[lo:hi].sum()) for lo, hi in spans]
         served_rows = served.tolist()
         edges = bounds.tolist()
-        for j, g in enumerate(present.tolist()):
+        for j, g in enumerate(present):
             sketch = sketches[g]
             lo, hi = edges[g], edges[g + 1]
             count = hi - lo
-            service, latency = sketch.service, sketch.latency
-            a, b = first_seg[j], first_seg[j + 1]
-            service.merge(count, service_sums[a], svc_low[j], svc_high[j])
-            latency.merge(count, latency_sums[a], lat_low[j], lat_high[j])
-            sketch.energy_j_total += energy_sums[a]
-            for k in range(a + 1, b):
-                service.total += service_sums[k]
-                latency.total += latency_sums[k]
+            for k in range(first_seg[j], first_seg[j + 1]):
+                sketch.service.total += service_sums[k]
+                sketch.latency.total += latency_sums[k]
                 sketch.energy_j_total += energy_sums[k]
-            sketch.quantiles._count(latencies_s[lo:hi])
             sketch.replicas.update(compress(range(len(served_rows[g])), served_rows[g]))
             sketch.batch.merge(count, float(count), 1.0, 1.0)
-            sketch.deadline_misses += misses[j]
             sketch.queue.merge(count, float(queue_total[j]), float(queue_low[j]), float(queue_high[j]))
 
     def p50_s(self) -> float:
@@ -564,6 +558,57 @@ class LatencySketch:
 
     def p99_s(self) -> float:
         return self.quantiles.quantile(0.99)
+
+
+def _fold_groups(
+    sketches: Sequence[LatencySketch],
+    bounds: np.ndarray,
+    latencies_s: np.ndarray,
+    services_s: np.ndarray,
+) -> Tuple[List[int], np.ndarray]:
+    """Fold what every grouped observation shares into each sketch with rows.
+
+    Rows ``bounds[g]:bounds[g + 1]`` are ``sketches[g]``'s.  Each non-empty
+    group's service and latency moments gain its row count and extrema (a
+    ``+ 0.0`` total, which leaves a running total unchanged: it is never
+    ``-0.0``), its latencies land in their buckets and its deadline misses
+    are counted with :meth:`LatencySketch.observe`'s float-tolerant
+    predicate.  ``fmin``/``fmax`` skip NaN as ``observe``'s comparisons do.
+    Returns the non-empty groups and their first rows; the totals are the
+    caller's.
+    """
+    sizes = np.diff(bounds)
+    present = np.flatnonzero(sizes)
+    if not present.size:
+        return [], present
+    firsts = bounds[present]
+    lat_low = np.fmin.reduceat(latencies_s, firsts).tolist()
+    lat_high = np.fmax.reduceat(latencies_s, firsts).tolist()
+    svc_low = np.fmin.reduceat(services_s, firsts).tolist()
+    svc_high = np.fmax.reduceat(services_s, firsts).tolist()
+    misses = [0] * present.size
+    deadlines = np.array(
+        [math.nan if s.deadline_s is None else s.deadline_s for s in sketches],
+        dtype=np.float64,
+    )
+    if not np.isnan(deadlines).all():
+        per_row = np.repeat(deadlines, sizes)
+        over = latencies_s > per_row
+        tolerance = np.repeat(1e-9 * np.abs(deadlines), sizes)
+        np.subtract(latencies_s, per_row, out=per_row)
+        over &= ~(np.abs(per_row, out=per_row) <= tolerance)
+        del per_row, tolerance
+        misses = np.add.reduceat(over, firsts, dtype=np.int64).tolist()
+    edges = bounds.tolist()
+    groups = present.tolist()
+    for j, g in enumerate(groups):
+        sketch = sketches[g]
+        lo, hi = edges[g], edges[g + 1]
+        sketch.service.merge(hi - lo, 0.0, svc_low[j], svc_high[j])
+        sketch.latency.merge(hi - lo, 0.0, lat_low[j], lat_high[j])
+        sketch.quantiles._count(latencies_s[lo:hi])
+        sketch.deadline_misses += misses[j]
+    return groups, firsts
 
 
 def sketch_nbytes(obj) -> int:

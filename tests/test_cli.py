@@ -962,3 +962,43 @@ class TestNonFiniteCarbonTraces:
     def test_non_finite_or_nonpositive_period_is_rejected(self, period_s):
         with pytest.raises(ValueError, match="carbon trace period_s must be finite and > 0"):
             CarbonIntensity(times_s=(0.0,), intensities=(300.0,), period_s=period_s)
+
+
+class TestInfiniteIntegerSpecs:
+    """An integer slot of an autoscaler, admission or carbon-trace spec
+    given ±inf (``1e400`` parses as inf) exits 2 with one stderr line
+    instead of an ``OverflowError`` traceback."""
+
+    _CASES = {
+        "autoscale-min": (["--autoscale", "reactive:min=inf"], "min_replicas must be finite, got inf"),
+        "autoscale-max": (["--autoscale", "reactive:max=inf"], "max_replicas must be finite, got inf"),
+        "admission-queue": (["--admission", "queue=inf"], "max_queue_depth must be finite, got inf"),
+        "admission-queue-1e400": (["--admission", "queue=1e400"], "max_queue_depth must be finite, got inf"),
+        "carbon-waiting-queue": (
+            ["--admission", "carbon_waiting:queue=inf"],
+            "max_queue_depth must be finite, got inf",
+        ),
+        "diurnal-steps": (["--carbon-trace", "diurnal:steps=inf"], "diurnal steps must be finite, got inf"),
+        "autoscale-min-negative": (["--autoscale", "reactive:min=-inf"], "min_replicas must be finite, got -inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_serve_exits_2_with_one_line(self, capsys, case):
+        flags, text = self._CASES[case]
+        assert main(_TINY_SERVE + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("invalid serving scenario: ") and text in err
+
+    @pytest.mark.parametrize("case", ["autoscale-min", "admission-queue", "carbon-waiting-queue", "diurnal-steps"])
+    def test_plan_exits_2_with_one_line(self, capsys, case):
+        flags, text = self._CASES[case]
+        assert main(["plan", "--replicas", "1"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("invalid plan sweep: ") and text in err
+
+    def test_nan_integer_slot_names_the_slot(self, capsys):
+        assert main(_TINY_SERVE + ["--admission", "queue=nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_queue_depth must be finite, got nan" in err

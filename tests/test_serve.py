@@ -7,6 +7,9 @@ strictly fewer deadlines than ``round_robin``.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1258,3 +1261,47 @@ def test_dispatched_items_are_retired_in_both_modes(six_tenants, monkeypatch, mo
     report = cluster.serve(requests, mode=mode)
     assert report.completed > 0 and report.dropped > 0
     assert held_at_report == [0]
+
+
+#: Serves two requests, the second at a NaN time, through every scalar
+#: path; prints each path's ``ValueError``.
+_NAN_EVENT_SCRIPT = """
+import math
+from repro.serve import Cluster, ServingRequest, Workload, reference_serve
+
+cluster = Cluster([Workload("a", model="GIN", num_graphs=2)], backend="cpu")
+requests = [
+    ServingRequest("a", 0, 0, 0.0, 0, 1e-3),
+    ServingRequest("a", 0, 1, math.nan, 1, 1e-3),
+]
+for name, run in (
+    ("exact", lambda: cluster.serve(requests)),
+    ("sketch", lambda: cluster.serve(requests, mode="sketch")),
+    ("reference", lambda: reference_serve(cluster, requests)),
+):
+    try:
+        run()
+    except ValueError as error:
+        print(name, error)
+"""
+
+
+class TestNanEventTime:
+    def test_nan_arrival_raises_instead_of_spinning(self):
+        """A NaN instant drains no event (NaN == NaN is false), so the loop
+        used to dispatch at it forever; now every scalar path raises.  The
+        run is a subprocess under a 60 s budget, so a regression fails on
+        the timeout instead of hanging the suite."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_EVENT_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["exact", "sketch", "reference"]
+        assert all("an event time is NaN" in line for line in lines)

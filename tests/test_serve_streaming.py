@@ -1,6 +1,6 @@
 """Streaming load generation and serving vs. their references.
 
-Five contracts:
+Six contracts:
 
 * **arrival streams** — every built-in process's ``times()`` matches golden
   digests recorded from the eager implementation
@@ -20,6 +20,10 @@ Five contracts:
   counts, drops, utilisation, max queue depth, deadline misses and maxima
   are identical to exact mode; means match to float-sum reassociation
   (1e-9); p50/p99 sit within the log-histogram's documented ~3.5% band;
+* **the scalar loop's sketch sink** — on generated dynamic clusters, the
+  sink that buffers rows and flushes them every 1-64 rows gives the report
+  and every tenant sketch float (``.hex()``) that a per-row copy of it,
+  folding each completion through ``LatencySketch.observe``, gives;
 * **O(tenants + replicas) memory** — a 50k-request sketch report occupies
   exactly as many bytes as a 5k-request one, and a million-request,
   100-tenant replay's report exactly as many as its 1%-sized run.
@@ -34,7 +38,9 @@ repo root::
 import bisect
 import functools
 import hashlib
+import heapq
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -45,19 +51,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serve.cluster as cluster_module
 from repro.datasets import make_hep_like, make_molhiv_like
 from repro.serve import (
+    CarbonIntensity,
     Cluster,
     ConstantArrivals,
     DiurnalArrivals,
+    FaultSchedule,
     LoadGenerator,
     OnOffArrivals,
     PoissonArrivals,
+    PowerModel,
+    ReactiveAutoscaler,
     TraceArrivals,
     Workload,
     sketch_nbytes,
 )
-from repro.serve.arrivals import REQUEST_ORDER
+from repro.serve.arrivals import REQUEST_ORDER, ServingRequest
 
 SEEDS = [0, 1, 2]
 
@@ -771,6 +782,157 @@ class TestSketchOracleCrossCheck:
         via_stream = cluster.serve_stream(generator, num_requests=n)
         assert via_serve.is_dynamic
         assert via_serve.to_json() == via_stream.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The scalar loop's buffered sketch sink vs folding each row as it completes
+# ---------------------------------------------------------------------------
+class _RowSink(cluster_module._SketchSink):
+    """The per-row reference for the buffered sink: every completion goes
+    through :meth:`LatencySketch.observe` when its batch is dispatched, and
+    every queue sample straight into its moments."""
+
+    def on_batch(self, batch, services, energies, start_s, end_s, replica):
+        size = len(batch)
+        self.batch_hist.update(float(size))
+        tenant = batch[0].request.tenant
+        sketch = self.sketches[tenant]
+        for item, service_s, energy_j in zip(batch, services, energies):
+            sketch.observe(end_s - item.request.arrival_s, service_s, energy_j, replica, size)
+        heapq.heappush(self._qd_heaps[tenant], (end_s, size))
+        if end_s > self.max_completion_s:
+            self.max_completion_s = end_s
+
+    def on_admit(self, request):
+        tenant = request.tenant
+        heap = self._qd_heaps[tenant]
+        popped = self._qd_popped[tenant]
+        while heap and heap[0][0] <= request.arrival_s:
+            popped += heapq.heappop(heap)[1]
+        self._qd_popped[tenant] = popped
+        arrived = self._qd_arrived[tenant]
+        self.sketches[tenant].queue.update(float(arrived - popped))
+        self._qd_arrived[tenant] = arrived + 1
+
+    def on_instant_sample(self, depth):
+        self.queue_hist.update(float(depth))
+
+    def flush(self):
+        pass
+
+
+@functools.lru_cache(maxsize=None)
+def _sink_cluster():
+    """Three tenants: a deferrable one, a best-effort one, unequal shares."""
+    trigger, screening, batch = _golden_workloads()
+    deferrable = Workload(
+        "deferrable",
+        model="GCN",
+        dataset=screening.dataset,
+        deadline_s=4e-3,
+        tenant_class="deferrable",
+    )
+    return Cluster([trigger, deferrable, batch], backend="cpu")
+
+
+class TestSketchSinkDifferential:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        policy=st.sampled_from(["round_robin", "least_loaded", "edf"]),
+        replicas=st.integers(1, 4),
+        max_batch=st.integers(1, 4),
+        timeout=st.sampled_from([0.0, 0.5, 3.0]),
+        capacity=st.one_of(st.none(), st.integers(2, 24)),
+        autoscale=st.booleans(),
+        faults=st.booleans(),
+        admission=st.sampled_from([None, "queue=12", "queue=24,headroom=1.5", "carbon_waiting:threshold=400,queue=16"]),
+        power=st.booleans(),
+        carbon=st.sampled_from([None, "diurnal", "constant"]),
+        arrivals=st.sampled_from(["poisson", "bursty"]),
+        load=st.sampled_from([0.5, 1.0, 1.6]),
+        per_tenant=st.integers(1, 80),
+        flush_rows=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+    )
+    def test_buffered_sink_matches_per_row_sink(
+        self,
+        policy,
+        replicas,
+        max_batch,
+        timeout,
+        capacity,
+        autoscale,
+        faults,
+        admission,
+        power,
+        carbon,
+        arrivals,
+        load,
+        per_tenant,
+        flush_rows,
+        seed,
+    ):
+        """Flushing every ``flush_rows`` rows gives the report, and every
+        tenant sketch float by ``.hex()``, that folding each row as it
+        completes gives."""
+        base = _sink_cluster()
+        service = base.mean_service_s()
+        rate = load * replicas / service
+        horizon = 3 * per_tenant / rate
+        options = {
+            "num_replicas": replicas,
+            "policy": policy,
+            "max_batch_size": max_batch,
+            "batch_timeout_s": timeout * service,
+            "queue_capacity": capacity,
+            "admission": admission,
+        }
+        if autoscale:
+            options["autoscaler"] = ReactiveAutoscaler(
+                min_replicas=1,
+                max_replicas=4,
+                interval_s=horizon / 16,
+                provision_delay_s=horizon / 32,
+                scale_down_hysteresis_s=horizon / 8,
+            )
+        if faults:
+            options["faults"] = FaultSchedule.crashes(
+                replicas, horizon, mtbf_s=horizon / 2, mttr_s=horizon / 10, seed=seed
+            )
+        if power:
+            options["power"] = PowerModel.parse("busy=2.0,idle=0.5")
+        if carbon == "diurnal":
+            options["carbon"] = CarbonIntensity.diurnal(period_s=horizon / 2)
+        elif carbon == "constant":
+            options["carbon"] = CarbonIntensity.constant(300.0)
+        cluster = base.with_options(**options)
+        generator = getattr(LoadGenerator, arrivals)(cluster.workloads, rate, seed=seed)
+        requests = list(generator.iter_requests(num_requests=per_tenant))
+
+        with mock.patch.object(cluster_module, "SKETCH_FLUSH_ROWS", flush_rows):
+            buffered = cluster.serve(requests, mode="sketch")
+        with mock.patch.object(cluster_module, "_SketchSink", _RowSink):
+            per_row = cluster.serve(requests, mode="sketch")
+        assert buffered.to_dict() == per_row.to_dict()
+        for tenant, outcome in per_row.tenants.items():
+            expected = _sketch_fingerprint(outcome.report.sketch)
+            assert _sketch_fingerprint(buffered.tenants[tenant].report.sketch) == expected, tenant
+
+    def test_nan_latency_is_skipped_by_extrema_like_the_per_row_sink(self):
+        """An arrival at +inf completes at +inf, a NaN latency.  Comparisons
+        skip it in the per-row minimum and maximum, and so must the flush."""
+        cluster = _sink_cluster()
+        requests = [
+            ServingRequest("trigger", 0, 0, 0.0, 0, 1e-3),
+            ServingRequest("trigger", 0, 1, math.inf, 1, 1e-3),
+        ]
+        buffered = cluster.serve(requests, mode="sketch")
+        with mock.patch.object(cluster_module, "_SketchSink", _RowSink):
+            per_row = cluster.serve(requests, mode="sketch")
+        assert json.dumps(buffered.to_dict(), sort_keys=True) == json.dumps(per_row.to_dict(), sort_keys=True)
+        sketch = buffered.tenants["trigger"].report.sketch
+        assert _sketch_fingerprint(sketch) == _sketch_fingerprint(per_row.tenants["trigger"].report.sketch)
+        assert math.isnan(sketch.latency.total) and math.isfinite(sketch.latency.max)
 
 
 # ---------------------------------------------------------------------------
