@@ -49,7 +49,8 @@ def dataclass_fields(cls: _Record) -> _Record:
     The cycle, resource and energy models return tuples rather than frozen
     dataclasses: building a tuple skips the frozen ``__init__``'s
     ``object.__setattr__`` per field, which a design-space sweep would pay
-    for thousands of values per run.  With the field table,
+    for thousands of values per run, as a serving trace would for each
+    :class:`~repro.serve.arrivals.ServingRequest`.  With the field table,
     ``dataclasses.fields``, ``replace`` and ``asdict`` still read each one
     as the frozen dataclass it used to be.
     """

@@ -9,7 +9,6 @@ against it (latency distribution, deadline misses, buffer occupancy).
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -145,21 +144,18 @@ def queue_depths_at_arrivals(
     arrivals = np.asarray(arrivals, dtype=np.float64)
     completions = np.asarray(completions, dtype=np.float64)
     n = len(arrivals)
+    if n > 1 and np.all(np.diff(arrivals) >= 0) and np.all(completions >= arrivals):
+        # Sorted arrivals, none completed before it arrived (every stream
+        # and per-tenant serving trace): all i earlier requests have
+        # arrived, so the depth is i minus those of them completed by a_i.
+        # One search counts #{j: c_j <= a_i} over every j; a later j can
+        # only be in it with c_j == a_j == a_i, so the zero-service requests
+        # from i to the end of i's tie group are counted back.
+        done = np.searchsorted(np.sort(completions), arrivals, side="right")
+        instant = np.append(np.cumsum((completions == arrivals)[::-1])[::-1], 0)
+        tie_end = np.searchsorted(arrivals, arrivals, side="right")
+        return np.arange(n, dtype=np.int64) - done + instant[:-1] - instant[tie_end]
     depths = np.zeros(n, dtype=np.int64)
-    if n > 1 and np.all(np.diff(arrivals) >= 0):
-        # Sorted arrivals (every stream and per-tenant serving trace): all
-        # i earlier requests have arrived, so the depth is i minus those
-        # already completed, read off an incrementally sorted completion
-        # list.  insort still shifts list elements (worst case quadratic in
-        # memmoves), but lookups are O(log n) and the shifts are a C-level
-        # constant factor — orders of magnitude faster than the quadratic
-        # mask scan below on the tens of thousands of requests a serving
-        # run hands in.
-        finished: list = []
-        for i in range(n):
-            depths[i] = i - bisect_right(finished, arrivals[i])
-            insort(finished, completions[i])
-        return depths
     for i in range(1, n):
         earlier_arrived = arrivals[:i] <= arrivals[i]
         still_pending = completions[:i] > arrivals[i]

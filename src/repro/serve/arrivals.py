@@ -28,9 +28,10 @@ There is one path from rng to request.  Each process implements only
 :meth:`LoadGenerator.iter_request_blocks` merges the per-tenant streams on
 the ``(arrival, tenant index, index)`` key into numpy blocks;
 :meth:`LoadGenerator.iter_requests` turns the blocks into
-:class:`ServingRequest` objects lazily, and :meth:`LoadGenerator.generate`
-is the list of them.  Memory is O(tenants x chunk), not O(requests), until
-a caller materialises the list.
+:class:`ServingRequest` tuples lazily, and :meth:`LoadGenerator.generate`
+is the list of them, each a tuple row that C code builds from the block's
+columns.  Memory is O(tenants x chunk), not O(requests), until a caller
+materialises the list.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain, repeat
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..arch.pipeline import dataclass_fields
 from .workload import Workload
 
 #: Largest timestamp chunk a per-tenant stream yields, and the rows per step
@@ -73,9 +76,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ServingRequest:
-    """One request in flight: a tenant asking for one graph at one instant."""
+@dataclass_fields
+class ServingRequest(NamedTuple):
+    """One request in flight: a tenant asking for one graph at one instant.
+
+    A tuple that reads as the frozen dataclass it was, except that it equals
+    a plain tuple of its fields, iterates and orders, and ``index`` shadows
+    ``tuple.index``.
+    """
 
     tenant: str
     tenant_index: int
@@ -123,22 +131,31 @@ class RequestBlock:
         return int(self.arrival_s.size)
 
     def requests(self, workloads: Sequence[Workload]) -> Iterator[ServingRequest]:
-        """Yield the block as :class:`ServingRequest` objects, in order.
+        """The block as :class:`ServingRequest` tuples, in order.
 
         Rows are converted :data:`STREAM_CHUNK` at a time, so a block spanning
-        many tenants never exists as one list of objects.
+        many tenants never exists as one list of objects, and each chunk is
+        one ``map`` of ``tuple.__new__`` over zipped columns.
         """
-        meta = [(w.tenant, w.deadline_s, w.priority) for w in workloads]
-        for lo in range(0, len(self), STREAM_CHUNK):
+        names = [w.tenant for w in workloads]
+        deadlines = [w.deadline_s for w in workloads]
+        priorities = [w.priority for w in workloads]
+
+        def chunk(lo: int) -> Iterator[ServingRequest]:
             hi = lo + STREAM_CHUNK
-            for arrival, ti, idx, gi in zip(
-                self.arrival_s[lo:hi].tolist(),
-                self.tenant_index[lo:hi].tolist(),
+            tenants = self.tenant_index[lo:hi].tolist()
+            rows = zip(
+                map(names.__getitem__, tenants),
+                tenants,
                 self.index[lo:hi].tolist(),
+                self.arrival_s[lo:hi].tolist(),
                 self.graph_index[lo:hi].tolist(),
-            ):
-                tenant, deadline_s, priority = meta[ti]
-                yield ServingRequest(tenant, ti, idx, arrival, gi, deadline_s, priority)
+                map(deadlines.__getitem__, tenants),
+                map(priorities.__getitem__, tenants),
+            )
+            return map(tuple.__new__, repeat(ServingRequest), rows)
+
+        return chain.from_iterable(map(chunk, range(0, len(self), STREAM_CHUNK)))
 
 
 def _sorted_block(
@@ -175,8 +192,13 @@ def _sorted_block(
 def _check_sizing(num_requests: Optional[int], duration_s: Optional[float]) -> None:
     if num_requests is None and duration_s is None:
         raise ValueError("pass num_requests and/or duration_s")
-    if num_requests is not None and num_requests < 0:
-        raise ValueError("num_requests must be >= 0")
+    if num_requests is not None:
+        try:
+            operator.index(num_requests)  # numpy integers pass; NaN, inf and 2.5 do not
+        except TypeError:
+            raise ValueError(f"num_requests must be an integer, got {num_requests!r}") from None
+        if num_requests < 0:
+            raise ValueError("num_requests must be >= 0")
     if duration_s is not None and duration_s < 0:
         raise ValueError("duration_s must be >= 0")
     if duration_s is not None and not math.isfinite(duration_s):
@@ -487,25 +509,29 @@ class OnOffArrivals(ArrivalProcess):
         if num_requests is None:
             mean_rate = self.mean_rate_rps
             _finite_count(mean_rate * duration_s, mean_rate, duration_s)
-        # A scalar loop: one draw per phase length, then one gap per
-        # candidate arrival; buffered timestamps flush every STREAM_CHUNK.
+        # A scalar loop: one variate per phase length, then one per gap;
+        # buffered timestamps flush every STREAM_CHUNK.  numpy's exponential(s)
+        # is s * standard_exponential(), so scaled block draws are the same
+        # floats; only the rng's leftover state moves further on.
+        variate = chain.from_iterable(iter(lambda: rng.standard_exponential(256).tolist(), None)).__next__
         horizon = math.inf if duration_s is None else duration_s
         target = math.inf if num_requests is None else num_requests
         buf: List[float] = []
         emitted = 0
         phase_start, on = 0.0, True
         while phase_start < horizon and emitted + len(buf) < target:
-            length = rng.exponential(self.mean_on_s if on else self.mean_off_s)
+            length = (self.mean_on_s if on else self.mean_off_s) * variate()
             rate = self.on_rate_rps if on else self.off_rate_rps
             if rate > 0:
-                t = phase_start + rng.exponential(1.0 / rate)
+                gap = 1.0 / rate
+                t = phase_start + gap * variate()
                 while t < phase_start + length and t < horizon and emitted + len(buf) < target:
                     buf.append(t)
                     if len(buf) >= STREAM_CHUNK:
                         emitted += len(buf)
                         yield np.array(buf, dtype=np.float64)
                         buf = []
-                    t += rng.exponential(1.0 / rate)
+                    t += gap * variate()
             phase_start += length
             on = not on
         if buf:
@@ -654,10 +680,11 @@ class LoadGenerator:
         """Lazily yield the :meth:`generate` sequence, in order.
 
         The requests of :meth:`iter_request_blocks`, built block by block, so
-        memory stays O(tenants x chunk).
+        memory stays O(tenants x chunk), and chained in C with no Python
+        frame per request.
         """
-        for block in self.iter_request_blocks(duration_s=duration_s, num_requests=num_requests):
-            yield from block.requests(self.workloads)
+        blocks = self.iter_request_blocks(duration_s=duration_s, num_requests=num_requests)
+        return chain.from_iterable(block.requests(self.workloads) for block in blocks)
 
     def iter_request_blocks(
         self,

@@ -886,9 +886,11 @@ class Cluster:
         keeps each completion as a row of per-request columns; ``"sketch"``
         folds every completion into O(tenants + replicas) online
         accumulators — same loop, same floats for counts, drops and
-        utilisation, P²-estimated percentiles — and consumes ``requests`` as
-        a stream that must already be sorted by ``(arrival_s, tenant_index,
-        index)`` (what :meth:`LoadGenerator.iter_requests` yields; unsorted
+        utilisation, percentiles read off a log-spaced
+        :class:`~repro.serve.sketches.StreamingHistogram` — and consumes
+        ``requests`` as a stream that must already be sorted by
+        ``(arrival_s, tenant_index, index)`` (what
+        :meth:`LoadGenerator.iter_requests` yields; unsorted
         input raises ``ValueError``), never holding more than the queued
         backlog in memory.  For sketch mode straight from a generator —
         including the vectorised FIFO fast path — see :meth:`serve_stream`.

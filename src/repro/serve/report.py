@@ -81,8 +81,9 @@ class SketchTenantReport:
     ``total_energy_mj``) backed by a :class:`~repro.serve.sketches.LatencySketch`
     instead of per-request arrays, so memory is O(1) in the request count.
     Counts, means, maxima, misses and energy are exact (modulo summation
-    order across chunks); p50/p99 are P² estimates within the documented
-    sketch tolerance.  There is no ``stream_statistics`` — callers that need
+    order across chunks); p50/p99 are read off the sketch's log-spaced
+    :class:`~repro.serve.sketches.StreamingHistogram`, within its documented
+    ~3.5% tolerance.  There is no ``stream_statistics`` — callers that need
     raw arrays must run exact mode.
     """
 

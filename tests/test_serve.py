@@ -6,8 +6,11 @@ scenario with heterogeneous SLOs, the deadline-aware ``edf`` policy misses
 strictly fewer deadlines than ``round_robin``.
 """
 
+import dataclasses
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
 
@@ -273,6 +276,37 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError, match="too many requests"):
             process.times(duration_s=1e10, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("num_requests", [math.nan, math.inf, 2.5], ids=["nan", "inf", "fraction"])
+    @pytest.mark.parametrize(
+        "process",
+        [
+            PoissonArrivals(1000.0),
+            OnOffArrivals(on_rate_rps=1000.0, mean_on_s=1e-3, mean_off_s=1e-3),
+            ConstantArrivals(1e-3),
+            DiurnalArrivals(1000.0),
+            TraceArrivals(timestamps=[1e-3, 2e-3, 3e-3]),
+        ],
+        ids=["poisson", "bursty", "constant", "diurnal", "trace"],
+    )
+    def test_non_integer_num_requests_rejected(self, process, num_requests):
+        """A count of NaN, inf or 2.5 used to yield 0, 3 or 13 arrivals, or
+        raise a TypeError or OverflowError, depending on the process."""
+        message = re.escape(f"num_requests must be an integer, got {num_requests!r}")
+        with pytest.raises(ValueError, match=message):
+            process.times(num_requests=num_requests, duration_s=0.01, rng=np.random.default_rng(0))
+
+    def test_non_integer_num_requests_rejected_through_the_generator(self, two_tenants, cpu_cluster):
+        generator = LoadGenerator.bursty(two_tenants, 1000.0, seed=0)
+        with pytest.raises(ValueError, match="num_requests must be an integer, got nan"):
+            generator.generate(num_requests=math.nan)
+        with pytest.raises(ValueError, match="num_requests must be an integer, got 2.5"):
+            list(generator.iter_requests(num_requests=2.5, duration_s=1.0))
+        for mode in ("exact", "sketch"):
+            with pytest.raises(ValueError, match="num_requests must be an integer, got inf"):
+                cpu_cluster.serve_stream(generator, num_requests=math.inf, mode=mode)
+        # numpy integers are counts.
+        assert len(generator.generate(num_requests=np.int64(3))) == 6
+
     @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
     def test_total_rate_must_be_positive_and_finite(self, rate, two_tenants):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -365,6 +399,69 @@ class TestLoadGenerator:
         ]
         with pytest.raises(ValueError, match="unique"):
             LoadGenerator(tenants, ConstantArrivals(1e-3))
+
+
+# ServingRequest as the frozen dataclass it used to be.
+_OLD_SERVING_REQUEST = dataclasses.make_dataclass(
+    "ServingRequest",
+    ["tenant", "tenant_index", "index", "arrival_s", "graph_index", "deadline_s", ("priority", int, 0)],
+    frozen=True,
+)
+
+
+class TestServingRequestValueType:
+    """A request is a tuple that still reads as the old frozen dataclass."""
+
+    @pytest.fixture
+    def requests(self, molhiv_sample, two_tenants):
+        best_effort = Workload("batch", model="GCN", dataset=molhiv_sample, priority=2)
+        generated = LoadGenerator.bursty([*two_tenants, best_effort], 20_000.0, seed=3).generate(num_requests=4)
+        assert {r.deadline_s is None for r in generated} == {True, False}
+        return [*generated, ServingRequest("solo", 7, 3, 0.25, 1, 2e-3), ServingRequest("solo", 7, 4, 0.5, 0, None, 5)]
+
+    def test_fields_are_the_old_dataclass_fields(self):
+        old_fields = dataclasses.fields(_OLD_SERVING_REQUEST)
+        assert ServingRequest._fields == tuple(f.name for f in old_fields)
+        new_fields = dataclasses.fields(ServingRequest)
+        assert [f.name for f in new_fields] == [f.name for f in old_fields]
+        assert [f.default for f in new_fields] == [f.default for f in old_fields]
+        assert ServingRequest("a", 0, 1, 0.5, 2, None).priority == 0
+        assert dataclasses.is_dataclass(ServingRequest)
+
+    def test_requests_are_the_old_frozen_dataclass_field_for_field(self, requests):
+        for new in requests:
+            old = _OLD_SERVING_REQUEST(*new)
+            assert type(new) is ServingRequest
+            assert dataclasses.is_dataclass(new)
+            assert [f.name for f in dataclasses.fields(new)] == [f.name for f in dataclasses.fields(old)]
+            assert dataclasses.astuple(new) == dataclasses.astuple(old)
+            assert dataclasses.asdict(new) == dataclasses.asdict(old)
+            assert repr(new) == repr(old)
+            assert hash(new) == hash(old)
+            replaced = dataclasses.replace(new, tenant="ghost", priority=9)
+            assert type(replaced) is ServingRequest
+            assert repr(replaced) == repr(dataclasses.replace(old, tenant="ghost", priority=9))
+            assert dataclasses.replace(new) == new
+            for other in requests:
+                assert (new == other) == (old == _OLD_SERVING_REQUEST(*other))
+            for name in ServingRequest._fields:
+                with pytest.raises(AttributeError):
+                    setattr(new, name, 0)
+            with pytest.raises(AttributeError):
+                new.extra = 0
+            restored = pickle.loads(pickle.dumps(new))
+            assert type(restored) is ServingRequest and repr(restored) == repr(new)
+            # ``index`` is the field, not ``tuple.index``.
+            assert new.index == old.index and isinstance(new.index, int)
+
+    def test_absolute_deadline(self, requests):
+        for request in requests:
+            if request.deadline_s is None:
+                assert request.absolute_deadline_s == math.inf
+            else:
+                assert request.absolute_deadline_s == request.arrival_s + request.deadline_s
+        assert ServingRequest("a", 0, 0, 0.25, 0, 2e-3).absolute_deadline_s == 0.25 + 2e-3
+        assert ServingRequest("a", 0, 0, 0.25, 0, None).absolute_deadline_s == math.inf
 
 
 @st.composite

@@ -5,7 +5,9 @@ Six contracts:
 * **arrival streams** — every built-in process's ``times()`` matches golden
   digests recorded from the eager implementation
   (``tests/fixtures/arrival_digests.json``), and so does ``iter_times()`` at
-  a tiny ``STREAM_CHUNK``, with no chunk larger than ``STREAM_CHUNK``;
+  a tiny ``STREAM_CHUNK``, with no chunk larger than ``STREAM_CHUNK``; long
+  and generated bursty streams, whose variates are drawn in blocks, match a
+  loop of one ``rng.exponential(scale)`` call per variate by ``.hex()``;
   ``generate()`` matches its recorded digests, and ``generate()``,
   ``iter_requests()`` and ``iter_request_blocks()`` all equal a naive merge
   (each tenant's ``times()``, sorted by ``(arrival, tenant, index)``);
@@ -387,6 +389,94 @@ class TestArrivalStreams:
             np.testing.assert_array_equal(
                 _concat(list(process.iter_times(**sizing))), expected
             )
+
+
+def differential_settings() -> settings:
+    """Tier-1 runs a derandomised sample bounded to a few seconds.  The
+    nightly CI run passes ``--hypothesis-profile=nightly`` (tests/conftest.py)
+    and the loaded profile decides instead."""
+    if settings.get_current_profile_name() == "nightly":
+        return settings()
+    return settings(max_examples=300, derandomize=True, deadline=None)
+
+
+def _bursty_per_variate(process, num_requests, duration_s, rng):
+    """``OnOffArrivals`` sampled with one ``rng.exponential(scale)`` call per variate."""
+    horizon = math.inf if duration_s is None else duration_s
+    target = math.inf if num_requests is None else num_requests
+    times = []
+    phase_start, on = 0.0, True
+    while phase_start < horizon and len(times) < target:
+        length = rng.exponential(process.mean_on_s if on else process.mean_off_s)
+        rate = process.on_rate_rps if on else process.off_rate_rps
+        if rate > 0:
+            t = phase_start + rng.exponential(1.0 / rate)
+            while t < phase_start + length and t < horizon and len(times) < target:
+                times.append(t)
+                t += rng.exponential(1.0 / rate)
+        phase_start += length
+        on = not on
+    return times
+
+
+class TestBurstyVariateBlocks:
+    """Bursty streams draw their variates in blocks, and every timestamp is
+    the float that one scalar draw per variate gives."""
+
+    LONG = OnOffArrivals(on_rate_rps=9000.0, mean_on_s=2e-3, mean_off_s=3e-3, off_rate_rps=500.0)
+
+    @staticmethod
+    def _assert_matches_per_variate(process, sizing, seed, chunk):
+        chunks = list(process.iter_times(rng=np.random.default_rng(seed), **sizing))
+        assert all(0 < c.size <= chunk for c in chunks)
+        expected = _bursty_per_variate(process, rng=np.random.default_rng(seed), **sizing)
+        assert [t.hex() for t in _concat(chunks).tolist()] == [t.hex() for t in expected]
+        return chunks
+
+    @pytest.mark.parametrize("chunk", [8192, 97])
+    @pytest.mark.parametrize(
+        "sizing",
+        [
+            {"num_requests": 2 * 8192 + 1234, "duration_s": None},
+            {"num_requests": None, "duration_s": 5.0},
+            {"num_requests": 17_000, "duration_s": 6.0},
+        ],
+        ids=["count", "horizon", "count-and-horizon"],
+    )
+    def test_long_bursty_streams_match_per_variate_draws(self, sizing, chunk, monkeypatch):
+        """About 20k arrivals: many variate blocks, and at least two full
+        STREAM_CHUNK yields at the default chunk."""
+        monkeypatch.setattr("repro.serve.arrivals.STREAM_CHUNK", chunk)
+        chunks = self._assert_matches_per_variate(self.LONG, sizing, 11, chunk)
+        assert sum(c.size == chunk for c in chunks) >= 2
+
+    @differential_settings()
+    @given(
+        on_rate=st.floats(100.0, 1e5),
+        burst=st.floats(1.0, 50.0),
+        off_rate=st.one_of(st.just(0.0), st.floats(1.0, 2e4)),
+        mean_off=st.floats(1e-4, 1e-2),
+        sizing=st.sampled_from(["count", "horizon", "both"]),
+        count=st.integers(0, 1500),
+        chunk=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_bursty_streams_match_per_variate_draws(
+        self, on_rate, burst, off_rate, mean_off, sizing, count, chunk, seed
+    ):
+        """A burst holds ``burst`` arrivals on average, so a stream of
+        ``count`` arrivals has at most about ``2 * count`` phases."""
+        process = OnOffArrivals(
+            on_rate_rps=on_rate, mean_on_s=burst / on_rate, mean_off_s=mean_off, off_rate_rps=off_rate
+        )
+        horizon = count / process.mean_rate_rps  # about ``count`` arrivals
+        kwargs = {
+            "count": {"num_requests": count, "duration_s": None},
+            "horizon": {"num_requests": None, "duration_s": horizon},
+            "both": {"num_requests": count // 2, "duration_s": horizon},
+        }[sizing]
+        with mock.patch("repro.serve.arrivals.STREAM_CHUNK", chunk):
+            self._assert_matches_per_variate(process, kwargs, seed, chunk)
 
 
 # ---------------------------------------------------------------------------
