@@ -89,8 +89,6 @@ from .reference import reference_serve, reference_serve_dynamic
 from .report import ServingRecord, ServingReport, SketchTenantReport, TenantOutcome
 from .sketches import (
     LatencySketch,
-    P2Quantile,
-    QuantileSketch,
     StreamingHistogram,
     StreamingMoments,
     sketch_nbytes,
@@ -144,8 +142,6 @@ __all__ = [
     "RequestBlock",
     "STREAM_CHUNK",
     "StreamingMoments",
-    "P2Quantile",
-    "QuantileSketch",
     "StreamingHistogram",
     "LatencySketch",
     "sketch_nbytes",

@@ -625,6 +625,103 @@ def _group_by(keys: np.ndarray, num_groups: int) -> Tuple[np.ndarray, np.ndarray
     return order, bounds
 
 
+def _reject_infinite_arrivals(ordered: Sequence[ServingRequest]) -> None:
+    """``ValueError`` naming the value if one of ``ordered`` (sorted by
+    :data:`REQUEST_ORDER`, so it would be first or last) arrives at ±inf.
+    The event loop names a NaN arrival when it reaches it."""
+    for request in ordered[:1] + ordered[-1:]:
+        if math.isinf(request.arrival_s):
+            raise ValueError(f"arrival_s must be finite, got {request.arrival_s}")
+
+
+#: Rounds in which :func:`_fifo_finishes` re-proposes a failing queue's busy
+#: periods before its rows from the first failing one take the per-row loop.
+_FOLD_ROUNDS = 4
+
+
+def _fifo_finishes(arrival: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """Finish times of independent FIFO queues, bit for bit as the per-row loop
+    ``f[k] = (a[k] if a[k] >= f[k - 1] else f[k - 1]) + s[k]`` gives them.
+
+    Row ``q`` of the C-contiguous ``(queues, depth)`` arrays is one queue in
+    order.  Column 0 has no predecessor: a queue's carried finish enters as
+    an arrival with zero service there, and padding as one at ``-inf``.
+
+    A busy period opens at a *head*, a row arriving at or after the previous
+    finish, and inside it every finish is the left fold ``((a_h + s_h) +
+    s_{h+1}) + ...``, the loop's additions in its order.  The heads are
+    *proposed* from the max-plus closed form ``f[k] = C[k] + max_{j <= k}
+    (a[j] - C[j - 1])`` (``C`` the running service sum; its rounding only
+    moves a proposal), every period is *folded* (:func:`_fold_periods`) and
+    every row is *verified*: ``max(a[k], f[k - 1]) + s[k]`` must give
+    ``f[k]``, and then every finish is the loop's, by induction.  A failing
+    queue's folded finishes are exact up to its first failing row, so its
+    heads are re-proposed from them and it is folded again; after
+    :data:`_FOLD_ROUNDS` rounds its rows from the first failing one run the
+    per-row loop, which chains of near-ties can need.
+    """
+    lead = arrival.copy()
+    lead[:, 1:] -= np.cumsum(service, axis=1)[:, :-1]
+    heads = lead >= np.maximum.accumulate(lead, axis=1)
+    del lead
+    finish = _fold_periods(arrival, service, heads)
+    queues = np.arange(arrival.shape[0])
+    a, s, f = arrival, service, finish
+    for round_ in range(_FOLD_ROUNDS + 1):
+        wrong = np.maximum(a[:, 1:], f[:, :-1]) + s[:, 1:] != f[:, 1:]
+        failing = wrong.any(axis=1)
+        if not failing.any():
+            break
+        queues, a, s, f, wrong = queues[failing], a[failing], s[failing], f[failing], wrong[failing]
+        if round_ < _FOLD_ROUNDS:
+            heads = np.ones(a.shape, dtype=bool)
+            np.greater_equal(a[:, 1:], f[:, :-1], out=heads[:, 1:])
+            f = finish[queues] = _fold_periods(a, s, heads)
+            continue
+        for q, first in zip(queues.tolist(), (wrong.argmax(axis=1) + 1).tolist()):
+            prev = float(finish[q, first - 1])
+            row: List[float] = []
+            for a_k, s_k in zip(arrival[q, first:].tolist(), service[q, first:].tolist()):
+                prev = (a_k if a_k >= prev else prev) + s_k
+                row.append(prev)
+            finish[q, first:] = row
+    return finish
+
+
+def _fold_periods(arrival: np.ndarray, service: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Each row's finish when ``heads`` open the busy periods (in row-major
+    order, from a head): ``a + s`` at a head, else the previous finish + ``s``.
+
+    The periods of ``2**(c - 1) < length <= 2**c`` rows are the rows of a
+    zero-padded ``(count, 2**c)`` block of one buffer, so one ``np.cumsum``
+    per block adds every period's terms in order: O(log(longest period))
+    numpy calls for any mix of lengths (a segmented scan).
+    """
+    firsts = np.flatnonzero(heads)
+    lengths = np.diff(firsts, append=heads.size)
+    classes = np.frexp(lengths - 1.0)[1]
+    counts = np.bincount(classes)
+    sizes = counts << np.arange(counts.size)
+    bases = np.cumsum(sizes) - sizes
+    order = np.argsort(classes.astype(np.int8), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rank -= (np.cumsum(counts) - counts)[classes]
+    # A period's rows are consecutive cells from its first one.
+    cell = np.repeat(bases[classes] + (rank << classes) - firsts, lengths)
+    cell += np.arange(cell.size)
+    del order, rank, classes
+    values = service.copy()
+    np.add(arrival, service, out=values, where=heads)
+    buffer = np.zeros(int(sizes.sum()))
+    buffer[cell] = values.reshape(-1)
+    del values
+    for c in np.flatnonzero(counts[1:]).tolist():
+        block = buffer[bases[c + 1] : bases[c + 1] + sizes[c + 1]].reshape(counts[c + 1], -1)
+        np.cumsum(block, axis=1, out=block)
+    return buffer[cell].reshape(heads.shape)
+
+
 @dataclass
 class Cluster:
     """A pool of identical backend replicas serving many tenants.
@@ -915,6 +1012,7 @@ class Cluster:
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
         if mode == "exact":
             requests = sorted(requests, key=REQUEST_ORDER)
+            _reject_infinite_arrivals(requests)
         return self._serve_loop(iter(requests), duration_s, mode)
 
     def serve_stream(
@@ -1540,11 +1638,12 @@ class Cluster:
         Under round-robin pinning with no batching and no admission control,
         the event loop collapses to per-replica FIFO recurrences: request
         ``k`` (global arrival order) runs on replica ``k % R`` and starts at
-        ``max(arrival, previous finish)``.  The recurrence stays a scalar
-        loop over each replica's strided rows on purpose: it replays the
-        event loop's branch-max and start + service add, and busy time is
-        each replica's sequential sum of ``finish - start``, so utilisation
-        is bit-identical to the oracle.
+        ``max(arrival, previous finish)``.  :func:`_fifo_finishes` folds a
+        block's recurrences a busy period at a time, verifies every row and
+        keeps the per-row loop only as a bounded fallback, so every start
+        and finish is the event loop's float; busy time is each replica's
+        sequential sum of ``finish - start``, so utilisation is
+        bit-identical to the oracle.
 
         A block spans one or more merge windows, and every step below runs
         once per block, so a block of many small windows costs what one
@@ -1606,30 +1705,38 @@ class Cluster:
             tenant_idx = block.tenant_index
             service_s = lat_lut[tenant_idx, block.graph_index]
 
-            # Per-replica FIFO recurrence — scalar on purpose (see above).
-            # Replica r runs rows (r - replica_offset) % R, then every R-th.
-            starts = np.empty(n, dtype=np.float64)
+            # Per-replica FIFO queues, folded a busy period at a time (see
+            # _fifo_finishes).  Replica r runs rows (r - replica_offset) % R,
+            # then every R-th: in a (columns, R) grid filled in block order
+            # from cell R + replica_offset, they are column r, under its
+            # carried finish.  The grid's gaps arrive at -inf with no service.
+            columns = 2 + (replica_offset + n - 1) // num_replicas
+            cells = slice(num_replicas + replica_offset, num_replicas + replica_offset + n)
+            grids = np.zeros((2, columns, num_replicas))
+            grids[0] = -np.inf
+            grids[0, 0] = prev_finish
+            grids[0].reshape(-1)[cells] = arrival
+            grids[1].reshape(-1)[cells] = service_s
+            queue_arrival, queue_service = grids.transpose(0, 2, 1).copy()
+            del grids
+            finish = _fifo_finishes(queue_arrival, queue_service)
+            del queue_arrival, queue_service
+            prev_finish = finish[:, -1].tolist()
+            # Each row starts at max(arrival, its predecessor's finish).
+            before = finish[:, :-1].T.reshape(-1)[replica_offset : replica_offset + n]
+            del finish
+            starts = np.maximum(arrival, before)
+            del before
+            finishes = starts + service_s
             served = np.zeros((num_tenants, num_replicas), dtype=bool)
             for r in range(num_replicas):
-                rows = slice((r - replica_offset) % num_replicas, None, num_replicas)
-                prev = prev_finish[r]
-                start_list: List[float] = []
-                append = start_list.append
-                for a, s in zip(arrival[rows].tolist(), service_s[rows].tolist()):
-                    start = a if a >= prev else prev
-                    prev = start + s
-                    append(start)
-                starts[rows] = start_list
-                prev_finish[r] = prev
-                served[tenant_idx[rows], r] = True
-            finishes = starts + service_s
+                served[tenant_idx[(r - replica_offset) % num_replicas :: num_replicas], r] = True
             # Busy time: column r of the grid is replica r's total so far,
             # then its finish - start terms in order (gaps hold +0.0), so one
             # cumsum down the columns adds exactly what the event loop adds.
-            grid = np.zeros((2 + (replica_offset + n - 1) // num_replicas, num_replicas))
+            grid = np.zeros((columns, num_replicas))
             grid[0] = busy_time
-            lead = num_replicas + replica_offset
-            np.subtract(finishes, starts, out=grid.reshape(-1)[lead : lead + n])
+            np.subtract(finishes, starts, out=grid.reshape(-1)[cells])
             busy_time = np.cumsum(grid, axis=0)[-1].tolist()
             del grid
             replica_offset = (replica_offset + n) % num_replicas

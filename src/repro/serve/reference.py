@@ -39,6 +39,7 @@ from .cluster import (
     _TIMER,
     _new_event_counts,
     _QueueItem,
+    _reject_infinite_arrivals,
     _SimState,
 )
 from .report import RECORD_COLUMNS, ServingRecord, ServingReport, assemble_report
@@ -160,6 +161,8 @@ def reference_serve(
     for request in requests:
         if request.tenant not in cluster.services:
             raise ValueError(f"request for unknown tenant {request.tenant!r}")
+    ordered = sorted(requests, key=REQUEST_ORDER)
+    _reject_infinite_arrivals(ordered)
     items = [
         _QueueItem(
             request=request,
@@ -169,7 +172,7 @@ def reference_serve(
                 batch_size=cluster.services[request.tenant].base_batch_size,
             ),
         )
-        for seq, request in enumerate(sorted(requests, key=REQUEST_ORDER))
+        for seq, request in enumerate(ordered)
     ]
 
     num_initial = cluster.num_replicas

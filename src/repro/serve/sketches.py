@@ -8,11 +8,6 @@ bound.  This module provides the O(1)-memory replacements:
   chunked update sums each chunk with ``.sum()`` so a single ``update_many``
   call reproduces numpy's reduction bit for bit (the property tests pin
   this); across chunks only summation order differs.
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, 1985): one
-  quantile estimated from five markers, no samples stored.  Below five
-  observations the estimate is exact (the samples are the markers).
-* :class:`QuantileSketch` — a bundle of :class:`P2Quantile` markers (p50 and
-  p99 by default) sharing one update call.
 * :class:`StreamingHistogram` — fixed, caller-chosen bucket edges with
   vectorised chunk updates, plus exact count/sum/min/max so means and maxima
   never degrade to bucket resolution.  :meth:`StreamingHistogram.log_spaced`
@@ -31,14 +26,6 @@ Accuracy contract (pinned by ``tests/test_serve_sketches.py``):
   bucket width (2%) plus interpolation slack — which is why it backs the
   serving report: queueing produces bimodal latency mixtures (fast unqueued
   vs. slow queued requests) on which marker estimators fail badly;
-* P² p50 is within ~2% on unimodal lognormal/Pareto samples of >= 2k
-  observations and p99 within ~15% (lognormal) / ~25% (Pareto heavy tail),
-  but is documented (and tested) as *unbounded* on strongly bimodal data —
-  it remains exported as the constant-memory primitive for metrics without
-  a natural bucket range.
-  P² is order-dependent, so estimates are deterministic for a deterministic
-  stream (everything in :mod:`repro.serve` is) but may differ within the
-  band between event orderings;
 * count, mean, min and max are exact in all sketches.
 """
 
@@ -53,8 +40,6 @@ import numpy as np
 
 __all__ = [
     "StreamingMoments",
-    "P2Quantile",
-    "QuantileSketch",
     "StreamingHistogram",
     "LatencySketch",
     "sketch_nbytes",
@@ -108,156 +93,10 @@ class StreamingMoments:
         }
 
 
-class P2Quantile:
-    """The P² single-quantile estimator: five markers, no stored samples.
-
-    ``estimate()`` is exact until five observations arrive (the markers are
-    the sorted sample); afterwards the middle markers track the ``q``-th
-    quantile by piecewise-parabolic interpolation.  ``update_many`` is a
-    per-sample loop by necessity (the algorithm is sequential), written
-    against local bindings so the 10M-request scale gate stays affordable.
-    """
-
-    __slots__ = ("q", "heights", "positions", "desired", "increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = float(q)
-        self.heights: List[float] = []
-        self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self.increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    # -- update ---------------------------------------------------------------
-    def update(self, value: float) -> None:
-        self.update_many((value,))
-
-    def update_many(self, values: Sequence[float]) -> None:
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        heights = self.heights
-        count = self.count
-        # Bootstrap: the first five observations are stored verbatim.
-        index = 0
-        total = len(values)
-        while count < 5 and index < total:
-            heights.append(float(values[index]))
-            index += 1
-            count += 1
-            if count == 5:
-                heights.sort()
-        self.count = count
-        if index >= total:
-            return
-        positions = self.positions
-        desired = self.desired
-        increments = self.increments
-        h0, h1, h2, h3, h4 = heights
-        n0, n1, n2, n3, n4 = positions
-        d1, d2, d3 = desired[1], desired[2], desired[3]
-        i1, i2, i3 = increments[1], increments[2], increments[3]
-        for raw in values[index:]:
-            x = float(raw)
-            # Locate the cell and clamp the extreme markers.
-            if x < h0:
-                h0 = x
-                k = 0
-            elif x < h1:
-                k = 0
-            elif x < h2:
-                k = 1
-            elif x < h3:
-                k = 2
-            elif x <= h4:
-                k = 3
-            else:
-                h4 = x
-                k = 3
-            if k < 1:
-                n1 += 1.0
-            if k < 2:
-                n2 += 1.0
-            if k < 3:
-                n3 += 1.0
-            n4 += 1.0
-            d1 += i1
-            d2 += i2
-            d3 += i3
-            # Adjust the three middle markers toward their desired positions.
-            delta = d1 - n1
-            if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and n0 - n1 < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = _parabolic(step, n0, n1, n2, h0, h1, h2)
-                if h0 < candidate < h2:
-                    h1 = candidate
-                else:
-                    h1 = _linear(step, n0, n1, n2, h0, h1, h2)
-                n1 += step
-            delta = d2 - n2
-            if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = _parabolic(step, n1, n2, n3, h1, h2, h3)
-                if h1 < candidate < h3:
-                    h2 = candidate
-                else:
-                    h2 = _linear(step, n1, n2, n3, h1, h2, h3)
-                n2 += step
-            delta = d3 - n3
-            if (delta >= 1.0 and n4 - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = _parabolic(step, n2, n3, n4, h2, h3, h4)
-                if h2 < candidate < h4:
-                    h3 = candidate
-                else:
-                    h3 = _linear(step, n2, n3, n4, h2, h3, h4)
-                n3 += step
-        heights[0], heights[1], heights[2], heights[3], heights[4] = h0, h1, h2, h3, h4
-        positions[0], positions[1], positions[2], positions[3], positions[4] = (
-            n0, n1, n2, n3, n4,
-        )
-        desired[1], desired[2], desired[3] = d1, d2, d3
-        self.count = count + (total - index)
-
-    # -- query ----------------------------------------------------------------
-    def estimate(self) -> float:
-        if not self.count:
-            return 0.0
-        if self.count < 5:
-            # Exact small-sample quantile, matching np.percentile's default
-            # linear interpolation.
-            return float(np.percentile(np.array(self.heights[: self.count]), self.q * 100))
-        return float(self.heights[2])
-
-
-def _parabolic(step, n_prev, n, n_next, h_prev, h, h_next) -> float:
-    return h + step / (n_next - n_prev) * (
-        (n - n_prev + step) * (h_next - h) / (n_next - n)
-        + (n_next - n - step) * (h - h_prev) / (n - n_prev)
-    )
-
-
-def _linear(step, n_prev, n, n_next, h_prev, h, h_next) -> float:
-    if step > 0:
-        return h + (h_next - h) / (n_next - n)
-    return h - (h_prev - h) / (n_prev - n)
-
-
-class QuantileSketch:
-    """A bundle of :class:`P2Quantile` estimators sharing one update path."""
-
-    __slots__ = ("quantiles",)
-
-    def __init__(self, qs: Sequence[float] = (0.5, 0.99)) -> None:
-        self.quantiles: Dict[float, P2Quantile] = {float(q): P2Quantile(q) for q in qs}
-
-    def update_many(self, values: Sequence[float]) -> None:
-        for sketch in self.quantiles.values():
-            sketch.update_many(values)
-
-    def estimate(self, q: float) -> float:
-        return self.quantiles[float(q)].estimate()
+#: Chunks smaller than this are bucketed by binary search even on
+#: log-spaced edges: the index path costs about a dozen numpy calls,
+#: which below this size take longer than the search itself.
+INDEX_MIN_VALUES = 1024
 
 
 class StreamingHistogram:
@@ -266,12 +105,17 @@ class StreamingHistogram:
     ``edges`` are the interior bucket boundaries: value ``x`` lands in bucket
     ``i`` such that ``edges[i-1] <= x < edges[i]`` (bucket 0 is everything
     below ``edges[0]``, the last bucket everything at or above ``edges[-1]``)
-    — i.e. ``np.searchsorted(edges, x, side="right")``.  Memory is
-    ``len(edges) + 1`` counters regardless of how many samples stream
-    through.
+    — i.e. ``np.searchsorted(edges, x, side="right")``, NaN in the last
+    bucket.  Memory is ``len(edges) + 1`` counters regardless of how many
+    samples stream through.
+
+    Chunks are bucketed by a binary search over the edges, except chunks of
+    at least :data:`INDEX_MIN_VALUES` values on :meth:`log_spaced` edges,
+    whose buckets come from each value's logarithm and one comparison with
+    each neighbouring edge (:meth:`_log_buckets`).
     """
 
-    __slots__ = ("edges", "counts", "moments")
+    __slots__ = ("edges", "counts", "moments", "_log_grid")
 
     def __init__(self, edges: Sequence[float]) -> None:
         edges = np.asarray(edges, dtype=np.float64)
@@ -280,6 +124,8 @@ class StreamingHistogram:
         self.edges = edges
         self.counts = np.zeros(edges.size + 1, dtype=np.int64)
         self.moments = StreamingMoments()
+        # (log(edges[0]), edges per unit of log): set by log_spaced only.
+        self._log_grid: Optional[Tuple[float, float]] = None
 
     @classmethod
     def power_of_two(cls, max_exponent: int = 20) -> "StreamingHistogram":
@@ -302,12 +148,20 @@ class StreamingHistogram:
         the true order statistic for *any* distribution in range — unlike
         marker-based estimators, whose error on heavy-tailed queueing
         mixtures is unbounded.
+
+        The edges are ``low * (1 + rel)**k``, so large chunks find their
+        buckets by index rather than by binary search; the grid that index
+        uses is read off the edges themselves, so every bucket is still
+        exactly ``searchsorted``'s.
         """
         if not 0 < low < high or not rel > 0:
             raise ValueError("need 0 < low < high and rel > 0")
         count = int(math.ceil(math.log(high / low) / math.log1p(rel)))
         edges = low * np.power(1.0 + rel, np.arange(count + 1))
-        return cls(edges)
+        histogram = cls(edges)
+        first, last = float(edges[0]), float(edges[-1])
+        histogram._log_grid = (math.log(first), count / math.log(last / first))
+        return histogram
 
     def _order_stat(self, k: int, cumulative: np.ndarray) -> float:
         """Estimate of the ``k``-th (0-based) order statistic."""
@@ -363,8 +217,38 @@ class StreamingHistogram:
         self.moments.update_many(values)
 
     def _count(self, values: np.ndarray) -> None:
-        buckets = self.edges.searchsorted(values, side="right")
+        if self._log_grid is None or values.size < INDEX_MIN_VALUES:
+            buckets = self.edges.searchsorted(values, side="right")
+        else:
+            buckets = self._log_buckets(values)
         self.counts += np.bincount(buckets, minlength=self.counts.size)
+
+    def _log_buckets(self, values: np.ndarray) -> np.ndarray:
+        """``edges.searchsorted(values, side="right")`` on geometric edges.
+
+        ``k = floor((log(x) - log(edges[0])) * step)``, clipped to ``[0,
+        len(edges) - 2]``, is the index of the last edge ``<= x`` give or take
+        one (rounding), so the bucket is ``k + 2`` less one for each of
+        ``edges[k + 1]`` and ``edges[k]`` above ``x``.  Values are clipped to
+        the edge range first, so the logarithm sees only finite positive
+        numbers; NaN passes the clip, ``fmin`` sends it to the top index and
+        no comparison holds for it, so it lands past the last edge.
+        """
+        edges = self.edges
+        origin, step = self._log_grid
+        index = np.clip(values, edges[0], edges[-1])
+        np.log(index, out=index)
+        index -= origin
+        index *= step
+        np.fmin(index, edges.size - 2, out=index)
+        k = index.astype(np.intp)
+        del index
+        above_next = values < edges[1:][k]
+        above = values < edges[k]
+        k += 2
+        k -= above_next
+        k -= above
+        return k
 
     @property
     def count(self) -> int:

@@ -1402,3 +1402,23 @@ class TestNanEventTime:
         lines = proc.stdout.splitlines()
         assert [line.split()[0] for line in lines] == ["exact", "sketch", "reference"]
         assert all("an event time is NaN" in line for line in lines)
+
+
+class TestInfiniteArrival:
+    @pytest.mark.parametrize("path", ["exact", "reference"])
+    @pytest.mark.parametrize("arrival", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_arrival_raises_naming_the_value(self, arrival, path):
+        """An arrival at +inf used to be served at +inf (an infinite horizon
+        and NaN utilisation), and one at -inf silently; both oracle paths now
+        reject it with one ``ValueError`` that names the value."""
+        cluster = Cluster([Workload("a", model="GIN", num_graphs=2)], backend="cpu")
+        requests = [
+            ServingRequest("a", 0, 0, 0.0, 0, 1e-3),
+            ServingRequest("a", 0, 1, arrival, 1, 1e-3),
+        ]
+        run = {
+            "exact": lambda: cluster.serve(requests),
+            "reference": lambda: reference_serve(cluster, requests),
+        }[path]
+        with pytest.raises(ValueError, match=f"^arrival_s must be finite, got {arrival}$"):
+            run()

@@ -8,26 +8,29 @@ accuracy contract documented in :mod:`repro.serve.sketches`:
 * count / mean / min / max are **exact** in every sketch;
 * the log-spaced histogram's p50/p99 are within ~2% of ``np.percentile``
   for *all three* shapes (its error is its bucket width, distribution
-  independent) — which is why it backs :class:`~repro.serve.LatencySketch`;
-* P² holds its documented bands on unimodal shapes and is demonstrably
-  unbounded on bimodal ones (the regression that motivated the histogram).
+  independent) — which is why it backs :class:`~repro.serve.LatencySketch`.
 
-No external property-testing dependency: plain seeded ``numpy`` generators
-keep the sweep reproducible everywhere.
+The accuracy sweeps use plain seeded ``numpy`` generators, reproducible
+everywhere.  The log-spaced histogram's index buckets are checked against
+``searchsorted`` on every edge and its neighbours, on the special values and
+on derandomised Hypothesis draws.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import StreamStatistics
 from repro.serve import (
     LatencySketch,
-    P2Quantile,
-    QuantileSketch,
     StreamingHistogram,
     StreamingMoments,
     sketch_nbytes,
 )
+from repro.serve.sketches import INDEX_MIN_VALUES
 
 SEEDS = list(range(10))
 N = 4000
@@ -87,59 +90,6 @@ class TestStreamingMoments:
         moments = StreamingMoments()
         assert moments.count == 0
         assert moments.mean == 0.0
-
-
-# ---------------------------------------------------------------------------
-# P²: documented bands on unimodal shapes, documented failure on bimodal
-# ---------------------------------------------------------------------------
-class TestP2Quantile:
-    @pytest.mark.parametrize("shape", ["lognormal", "heavy"])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_p50_within_two_percent_on_unimodal(self, shape, seed):
-        data = _sample(shape, seed)
-        sketch = P2Quantile(0.5)
-        sketch.update_many(data)
-        truth = float(np.percentile(data, 50))
-        assert abs(sketch.estimate() - truth) <= 0.02 * truth
-
-    @pytest.mark.parametrize(
-        "shape,tolerance", [("lognormal", 0.15), ("heavy", 0.25)]
-    )
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_p99_within_documented_band(self, shape, tolerance, seed):
-        data = _sample(shape, seed)
-        sketch = P2Quantile(0.99)
-        sketch.update_many(data)
-        truth = float(np.percentile(data, 99))
-        assert abs(sketch.estimate() - truth) <= tolerance * truth
-
-    def test_exact_below_five_samples(self):
-        sketch = P2Quantile(0.5)
-        sketch.update_many(np.array([3.0, 1.0, 2.0]))
-        assert sketch.estimate() == float(np.percentile([3.0, 1.0, 2.0], 50))
-
-    def test_bimodal_p50_is_unbounded_which_is_why_latency_uses_histogram(self):
-        """The documented P² failure mode: markers stuck between modes.
-
-        This is a *characterisation* test — if P² ever starts handling
-        bimodal medians, the serving sketches could go back to it.
-        """
-        worst = 0.0
-        for seed in SEEDS:
-            data = _sample("bimodal", seed)
-            sketch = P2Quantile(0.5)
-            sketch.update_many(data)
-            truth = float(np.percentile(data, 50))
-            worst = max(worst, abs(sketch.estimate() - truth) / truth)
-        assert worst > 0.10  # >10% off, vs the histogram's 2% bound below
-
-    def test_quantile_sketch_bundles_markers(self):
-        data = _sample("lognormal", 0)
-        bundle = QuantileSketch((0.5, 0.99))
-        bundle.update_many(data)
-        single = P2Quantile(0.5)
-        single.update_many(data)
-        assert bundle.estimate(0.5) == single.estimate()
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +200,59 @@ class TestStreamingHistogram:
         before = sketch_nbytes(hist)
         hist.update_many(_sample("lognormal", 1, 100_000))
         assert sketch_nbytes(hist) == before
+
+
+# ---------------------------------------------------------------------------
+# Log-spaced buckets by index: exactly searchsorted's
+# ---------------------------------------------------------------------------
+#: ``log_spaced`` at its defaults, coarse and wide, and fine and narrow.
+LOG_GRIDS = [{}, {"low": 1e-6, "high": 1e3, "rel": 0.05}, {"low": 1e-3, "high": 10.0, "rel": 0.001}]
+LOG_GRID_IDS = ["defaults", "coarse", "fine"]
+SPECIAL_VALUES = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e308]
+
+
+def differential_settings() -> settings:
+    """Tier-1 runs a derandomised sample bounded to a few seconds.  The
+    nightly CI run passes ``--hypothesis-profile=nightly`` (tests/conftest.py)
+    and the loaded profile decides instead."""
+    if settings.get_current_profile_name() == "nightly":
+        return settings()
+    return settings(max_examples=200, derandomize=True, deadline=None)
+
+
+def _assert_buckets_match_searchsorted(hist, values):
+    """The index buckets of a fresh ``hist`` are ``searchsorted``'s, and its
+    ``_count`` adds the counts a searching histogram on its edges adds."""
+    expected = hist.edges.searchsorted(values, side="right")
+    assert hist._log_buckets(values).tolist() == expected.tolist()
+    searching = StreamingHistogram(hist.edges)
+    hist._count(values)
+    searching._count(values)
+    assert hist.counts.tolist() == searching.counts.tolist()
+
+
+class TestLogBuckets:
+    @pytest.mark.parametrize("grid", LOG_GRIDS, ids=LOG_GRID_IDS)
+    def test_every_edge_its_neighbours_and_special_values(self, grid):
+        hist = StreamingHistogram.log_spaced(**grid)
+        edges = hist.edges
+        values = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), SPECIAL_VALUES]
+        )
+        assert values.size >= INDEX_MIN_VALUES  # so _count takes the index path
+        _assert_buckets_match_searchsorted(hist, values)
+
+    @differential_settings()
+    @given(
+        grid=st.sampled_from(range(len(LOG_GRIDS))),
+        size=st.integers(INDEX_MIN_VALUES, 4 * INDEX_MIN_VALUES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_values_bucket_like_searchsorted(self, grid, size, seed):
+        """Log-uniform values from 1e-12 to 1e7, inside and outside the grid."""
+        rng = np.random.default_rng(seed)
+        values = np.exp(rng.uniform(math.log(1e-12), math.log(1e7), size))
+        _assert_buckets_match_searchsorted(StreamingHistogram.log_spaced(**LOG_GRIDS[grid]), values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Streaming load generation and serving vs. their references.
 
-Six contracts:
+Seven contracts:
 
 * **arrival streams** — every built-in process's ``times()`` matches golden
   digests recorded from the eager implementation
@@ -14,6 +14,10 @@ Six contracts:
 * **the streaming fast path** — ``serve_stream``'s vectorised FIFO path at
   7-, 64- and 8,192-row chunks matches digests of its report and of every
   tenant sketch's floats (``.hex()``), counts and replica sets;
+* **the busy-period fold** — on generated streams the fast path's report
+  and sketch floats equal those of the per-row FIFO recurrence written in
+  the test, and chains of near-ties that keep defeating the fold's
+  proposals fall back to the per-row loop;
 * **merge windows** — on generated scenarios, the blocks regroup exactly
   the windows of a naive merge that yields one window at a time, and each
   tenant's fast-path service, latency and energy totals add one ``.sum()``
@@ -564,6 +568,102 @@ class TestFastPathDigests:
         """The vectorised FIFO fast path, bit for bit: report, every sketch
         float, histogram counts, queue moments and replica sets."""
         assert _digest_serve_stream(case) == golden["serve_stream"][case]
+
+
+# ---------------------------------------------------------------------------
+# The busy-period fold vs the per-row FIFO recurrence
+# ---------------------------------------------------------------------------
+def _per_row_finishes(arrival, service):
+    """Each queue's finishes by the per-row FIFO recurrence, the reference
+    ``cluster._fifo_finishes`` must reproduce bit for bit."""
+    finish = np.empty_like(arrival)
+    for q in range(arrival.shape[0]):
+        prev = -math.inf
+        for k, (a, s) in enumerate(zip(arrival[q].tolist(), service[q].tolist())):
+            start = a if a >= prev else prev
+            prev = start + s
+            finish[q, k] = prev
+    return finish
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_cluster():
+    """The first six tenants of :func:`_fast_path_cluster`, measured once."""
+    return Cluster(_fast_path_cluster().workloads[:6], backend="cpu")
+
+
+def _fold_generator(kind, workloads, rate, seed):
+    """Poisson, bursty, constant or trace arrivals at ``rate`` in total.  The
+    constant and trace tenants share one process, so every instant is a tie
+    across tenants."""
+    if kind in ("poisson", "bursty"):
+        return getattr(LoadGenerator, kind)(workloads, rate, seed=seed)
+    per_tenant = rate / len(workloads)
+    if kind == "constant":
+        return LoadGenerator(workloads, ConstantArrivals(1.0 / per_tenant), seed=seed)
+    stamps = np.cumsum(np.random.default_rng(seed).exponential(1.0 / per_tenant, 100))
+    return LoadGenerator(workloads, TraceArrivals(stamps), seed=seed)
+
+
+def _tie_chain(seed, rows=2000):
+    """One replica's queue in the fold's layout (its carried finish, then its
+    rows) where every service is the next gap give or take 3 ulps: a chain of
+    near-ties whose busy periods are hard to propose."""
+    rng = np.random.default_rng(seed)
+    arrival = np.cumsum(np.full(rows, 1e-4))
+    gaps = np.diff(arrival, append=arrival[-1] + 1e-4)
+    service = gaps + rng.integers(-3, 4, rows) * np.spacing(gaps)
+    return np.concatenate(([0.0], arrival))[None], np.concatenate(([0.0], service))[None]
+
+
+class TestBusyPeriodFold:
+    @differential_settings()
+    @given(
+        replicas=st.integers(1, 8),
+        tenants=st.integers(1, 6),
+        arrivals=st.sampled_from(["poisson", "bursty", "constant", "trace"]),
+        load=st.floats(0.3, 1.5),
+        per_tenant=st.integers(1, 60),
+        chunk=st.integers(1, 200),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_streams_match_per_row_recurrence(
+        self, replicas, tenants, arrivals, load, per_tenant, chunk, seed
+    ):
+        """The fast path folding busy periods gives the report, and every
+        tenant sketch float by ``.hex()``, that the per-row recurrence gives,
+        with periods and carries crossing blocks of ``chunk`` rows."""
+        cluster = _fold_cluster().with_options(num_replicas=replicas)
+        rate = load * replicas / cluster.mean_service_s()
+        generator = _fold_generator(arrivals, cluster.workloads[:tenants], rate, seed)
+        with mock.patch("repro.serve.arrivals.STREAM_CHUNK", chunk):
+            folded = cluster.serve_stream(generator, num_requests=per_tenant)
+            with mock.patch.object(cluster_module, "_fifo_finishes", _per_row_finishes):
+                per_row = cluster.serve_stream(generator, num_requests=per_tenant)
+        assert folded.to_dict() == per_row.to_dict()
+        for tenant, outcome in per_row.tenants.items():
+            expected = _sketch_fingerprint(outcome.report.sketch)
+            assert _sketch_fingerprint(folded.tenants[tenant].report.sketch) == expected, tenant
+
+    def test_tie_chains_fall_back_to_the_per_row_loop(self):
+        """Some near-tie chains still misplace a busy period after every
+        re-proposal round; the rows from the first failing one then run the
+        per-row loop, and every finish is the recurrence's."""
+        needed_fallback = 0
+        for seed in range(60):
+            arrival, service = _tie_chain(seed)
+            folds = []
+
+            def recording_fold(*args, fold=cluster_module._fold_periods):
+                folds.append(fold(*args))
+                return folds[-1]
+
+            with mock.patch.object(cluster_module, "_fold_periods", recording_fold):
+                finish = cluster_module._fifo_finishes(arrival, service)
+            expected = _per_row_finishes(arrival, service)
+            assert [f.hex() for f in finish[0].tolist()] == [f.hex() for f in expected[0].tolist()], seed
+            needed_fallback += not np.array_equal(folds[-1], expected)
+        assert needed_fallback > 0
 
 
 # ---------------------------------------------------------------------------
