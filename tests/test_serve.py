@@ -1422,3 +1422,20 @@ class TestInfiniteArrival:
         }[path]
         with pytest.raises(ValueError, match=f"^arrival_s must be finite, got {arrival}$"):
             run()
+
+    @pytest.mark.parametrize("path", ["exact", "reference"])
+    @pytest.mark.parametrize("arrival", [math.inf, -math.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("position", [0, 1], ids=["listed-first", "listed-between"])
+    def test_infinite_arrival_is_found_wherever_it_is_listed(self, position, arrival, path):
+        """Both paths sort the requests before looking at the two ends, so an
+        infinite arrival is found however the caller ordered the list: +inf
+        listed first and either sign listed between two finite arrivals."""
+        cluster = Cluster([Workload("a", model="GIN", num_graphs=2)], backend="cpu")
+        requests = [ServingRequest("a", 0, i, i * 1e-3, 0, 1e-3) for i in range(2)]
+        requests.insert(position, ServingRequest("a", 0, 2, arrival, 1, 1e-3))
+        run = {
+            "exact": lambda: cluster.serve(requests),
+            "reference": lambda: reference_serve(cluster, requests),
+        }[path]
+        with pytest.raises(ValueError, match=f"^arrival_s must be finite, got {arrival}$"):
+            run()

@@ -13,10 +13,13 @@ accuracy contract documented in :mod:`repro.serve.sketches`:
 The accuracy sweeps use plain seeded ``numpy`` generators, reproducible
 everywhere.  The log-spaced histogram's index buckets are checked against
 ``searchsorted`` on every edge and its neighbours, on the special values and
-on derandomised Hypothesis draws.
+on derandomised Hypothesis draws, and against one-value-at-a-time updates;
+chunks under ``INDEX_MIN_VALUES`` and edges ``log_spaced`` did not build keep
+the binary search.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,9 +208,17 @@ class TestStreamingHistogram:
 # ---------------------------------------------------------------------------
 # Log-spaced buckets by index: exactly searchsorted's
 # ---------------------------------------------------------------------------
-#: ``log_spaced`` at its defaults, coarse and wide, and fine and narrow.
-LOG_GRIDS = [{}, {"low": 1e-6, "high": 1e3, "rel": 0.05}, {"low": 1e-3, "high": 10.0, "rel": 0.001}]
-LOG_GRID_IDS = ["defaults", "coarse", "fine"]
+#: ``log_spaced`` at its defaults, coarse and wide, fine and narrow, with its
+#: fewest edges (two), and far up and far down the float range.
+LOG_GRIDS = [
+    {},
+    {"low": 1e-6, "high": 1e3, "rel": 0.05},
+    {"low": 1e-3, "high": 10.0, "rel": 0.001},
+    {"low": 1.0, "high": 1.5, "rel": 1.0},
+    {"low": 1e200, "high": 1e300, "rel": 0.3},
+    {"low": 1e-300, "high": 1e-250, "rel": 0.1},
+]
+LOG_GRID_IDS = ["defaults", "coarse", "fine", "two-edges", "huge", "tiny"]
 SPECIAL_VALUES = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e308]
 
 
@@ -218,6 +229,18 @@ def differential_settings() -> settings:
     if settings.get_current_profile_name() == "nightly":
         return settings()
     return settings(max_examples=200, derandomize=True, deadline=None)
+
+
+def _edge_probes(hist):
+    """Every edge of ``hist``, both float neighbours of each and the special
+    values, repeated up to a chunk that ``_count`` sends down the index path."""
+    edges = hist.edges
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), SPECIAL_VALUES])
+    return np.tile(values, -(-INDEX_MIN_VALUES // values.size))
+
+
+def _log_uniform(seed, size, low=1e-12, high=1e7):
+    return np.exp(np.random.default_rng(seed).uniform(math.log(low), math.log(high), size))
 
 
 def _assert_buckets_match_searchsorted(hist, values):
@@ -235,12 +258,7 @@ class TestLogBuckets:
     @pytest.mark.parametrize("grid", LOG_GRIDS, ids=LOG_GRID_IDS)
     def test_every_edge_its_neighbours_and_special_values(self, grid):
         hist = StreamingHistogram.log_spaced(**grid)
-        edges = hist.edges
-        values = np.concatenate(
-            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), SPECIAL_VALUES]
-        )
-        assert values.size >= INDEX_MIN_VALUES  # so _count takes the index path
-        _assert_buckets_match_searchsorted(hist, values)
+        _assert_buckets_match_searchsorted(hist, _edge_probes(hist))
 
     @differential_settings()
     @given(
@@ -249,10 +267,62 @@ class TestLogBuckets:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_generated_values_bucket_like_searchsorted(self, grid, size, seed):
-        """Log-uniform values from 1e-12 to 1e7, inside and outside the grid."""
-        rng = np.random.default_rng(seed)
-        values = np.exp(rng.uniform(math.log(1e-12), math.log(1e7), size))
-        _assert_buckets_match_searchsorted(StreamingHistogram.log_spaced(**LOG_GRIDS[grid]), values)
+        """Log-uniform values from 1e-12 to 1e7 and over the grid's own span
+        widened by a factor of e each way, inside and outside the grid."""
+        hist = StreamingHistogram.log_spaced(**LOG_GRIDS[grid])
+        low, high = hist.edges[0] / math.e, hist.edges[-1] * math.e
+        values = np.concatenate([_log_uniform(seed, size), _log_uniform(seed + 1, size, low, high)])
+        _assert_buckets_match_searchsorted(hist, values)
+
+    @pytest.mark.parametrize("grid", LOG_GRIDS, ids=LOG_GRID_IDS)
+    def test_chunk_counts_equal_one_value_at_a_time(self, grid):
+        """A chunk through ``update_many`` (the index path) counts what
+        ``update`` counts one value at a time (a bisect per value, the
+        path of the event loop's per-request sink)."""
+        chunked = StreamingHistogram.log_spaced(**grid)
+        values = _edge_probes(chunked)
+        with np.errstate(invalid="ignore"):  # the chunk's sum adds inf and -inf
+            chunked.update_many(values)
+        one_by_one = StreamingHistogram.log_spaced(**grid)
+        for value in values.tolist():
+            one_by_one.update(value)
+        assert chunked.counts.tolist() == one_by_one.counts.tolist()
+
+    @pytest.mark.parametrize("size", [1, INDEX_MIN_VALUES - 1, INDEX_MIN_VALUES, 3 * INDEX_MIN_VALUES])
+    def test_index_path_takes_chunks_from_index_min_values(self, size):
+        """Smaller chunks keep the binary search, and both paths count alike."""
+        hist = StreamingHistogram.log_spaced()
+        values = _log_uniform(size, size)
+        index_path = mock.patch.object(
+            StreamingHistogram, "_log_buckets", autospec=True, side_effect=StreamingHistogram._log_buckets
+        )
+        with index_path as log_buckets:
+            hist._count(values)
+        assert log_buckets.called == (size >= INDEX_MIN_VALUES)
+        searching = StreamingHistogram(hist.edges)
+        searching._count(values)
+        assert hist.counts.tolist() == searching.counts.tolist()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            StreamingHistogram.power_of_two,
+            lambda: StreamingHistogram.integers(64),
+            lambda: StreamingHistogram([0.5, 1.0, 3.0]),
+            lambda: StreamingHistogram([1.0]),
+        ],
+        ids=["power-of-two", "integers", "caller-edges", "one-edge"],
+    )
+    def test_other_edge_sets_keep_the_binary_search(self, make):
+        """Edges ``log_spaced`` did not build never reach the index path,
+        however large the chunk."""
+        hist = make()
+        values = np.concatenate([_log_uniform(0, 4 * INDEX_MIN_VALUES, 1e-3, 1e3), SPECIAL_VALUES])
+        index_path = mock.patch.object(StreamingHistogram, "_log_buckets", side_effect=AssertionError("index path"))
+        with index_path, np.errstate(invalid="ignore"):  # the chunk's sum adds inf and -inf
+            hist.update_many(values)
+        expected = np.bincount(hist.edges.searchsorted(values, side="right"), minlength=hist.counts.size)
+        assert hist.counts.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +407,33 @@ class TestLatencySketch:
             expected_energy = float(energies[rows].sum()) if sizes[g] else 0.0
             assert sketch.energy_j_total.hex() == expected_energy.hex()
         assert grouped[3].deadline_misses > 0
+
+    @pytest.mark.parametrize("update", ["observe_groups", "observe_sequence"])
+    def test_grouped_buckets_match_observe_across_the_index_cut_over(self, update):
+        """Groups just under, at and over :data:`INDEX_MIN_VALUES` rows (the
+        search, then the index path) bucket their latencies as ``observe``
+        does row by row."""
+        sizes = [INDEX_MIN_VALUES - 1, INDEX_MIN_VALUES, 3000]
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        n = int(bounds[-1])
+        latencies = np.concatenate([_sample("bimodal", 6, n) * 1e-3, _sample("heavy", 7, n) * 1e-6])[::2]
+        latencies[:: n // 16] = SPECIAL_VALUES[0]  # exact zeros in every group
+        services = np.full(n, 1e-4)
+        energies = np.zeros(n)
+        grouped = [LatencySketch() for _ in sizes]
+        if update == "observe_groups":
+            served = np.ones((len(sizes), 1), dtype=bool)
+            depths = np.zeros(n, dtype=np.int64)
+            LatencySketch.observe_groups(grouped, bounds, latencies, services, energies, served, depths)
+        else:
+            batch_sizes = np.ones(n, dtype=np.int64)
+            LatencySketch.observe_sequence(grouped, bounds, latencies, services, energies, batch_sizes)
+        for g, sketch in enumerate(grouped):
+            rowwise = LatencySketch()
+            for i in range(bounds[g], bounds[g + 1]):
+                rowwise.observe(float(latencies[i]), 1e-4, 0.0, 0, 1)
+            assert sketch.completed == rowwise.completed == sizes[g]
+            assert sketch.quantiles.counts.tolist() == rowwise.quantiles.counts.tolist(), g
 
     def test_deadline_predicate_matches_stream_statistics(self):
         """Bit-for-bit the same miss count as the exact-mode oracle."""

@@ -16,8 +16,11 @@ Seven contracts:
   tenant sketch's floats (``.hex()``), counts and replica sets;
 * **the busy-period fold** — on generated streams the fast path's report
   and sketch floats equal those of the per-row FIFO recurrence written in
-  the test, and chains of near-ties that keep defeating the fold's
-  proposals fall back to the per-row loop;
+  the test, and so do the finishes of hand-built queues (exact ties,
+  backlogs, padding, period lengths either side of powers of two); the
+  segmented fold is the left fold of every period for generated heads;
+  chains of near-ties that defeat the fold's first proposal are settled by
+  re-proposing, or fall back to the per-row loop;
 * **merge windows** — on generated scenarios, the blocks regroup exactly
   the windows of a naive merge that yields one window at a time, and each
   tenant's fast-path service, latency and energy totals add one ``.sum()``
@@ -616,7 +619,118 @@ def _tie_chain(seed, rows=2000):
     return np.concatenate(([0.0], arrival))[None], np.concatenate(([0.0], service))[None]
 
 
+def _queues(carries, arrivals, services):
+    """Queues in the fold's layout: each carried finish as an arrival with
+    zero service in column 0, then its rows; equal-length rows only."""
+    arrival = np.column_stack((carries, arrivals)).astype(np.float64)
+    service = np.column_stack((np.zeros(len(carries)), services)).astype(np.float64)
+    return arrival, service
+
+
+def _period_runs(lengths, service=1.0):
+    """One queue whose busy periods have ``lengths`` rows: each period's rows
+    arrive together, one idle unit after the previous period ends."""
+    arrivals, clock = [], 0.0
+    for length in lengths:
+        arrivals += [clock] * length
+        clock += length * service + 1.0
+    return _queues([-1.0], [arrivals], [[service] * len(arrivals)])
+
+
+def _grid_queues(rng, replicas, offset, rows):
+    """A block laid out as ``Cluster._serve_stream_fast`` lays it out: rows
+    from cell ``replicas + offset`` of a ``(columns, replicas)`` grid whose
+    gaps arrive at -inf with zero service, one queue per column."""
+    columns = 2 + (offset + rows - 1) // replicas
+    cells = slice(replicas + offset, replicas + offset + rows)
+    grids = np.zeros((2, columns, replicas))
+    grids[0] = -np.inf
+    grids[0, 0] = rng.uniform(0.0, 0.01, replicas)
+    grids[0].reshape(-1)[cells] = np.sort(rng.uniform(0.0, 0.05, rows))
+    grids[1].reshape(-1)[cells] = rng.exponential(replicas * 0.05 / rows, rows)
+    arrival, service = grids.transpose(0, 2, 1).copy()
+    return arrival, service
+
+
+def _fifo_case(kind):
+    """Queues in the fold's layout that stress one part of it."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    if kind == "idle":  # every row opens its own period
+        return _queues([0.0], [np.arange(1.0, 201.0)], [np.full(200, 0.5)])
+    if kind == "one-period":  # 1,501 rows, one period from the carry
+        return _queues([0.0], [np.zeros(1500)], [rng.uniform(1e-4, 1e-3, 1500)])
+    if kind == "exact-ties":  # every arrival is the previous finish exactly
+        return _queues([0.25], [0.25 * np.arange(1, 301)], [np.full(300, 0.25)])
+    if kind == "backlog":  # the carried finish is after every arrival
+        return _queues([1e3], [np.sort(rng.uniform(0.0, 1.0, 400))], [np.full(400, 1e-3)])
+    if kind == "zero-service":  # repeated arrivals, nothing to serve
+        return _queues([0.0], [np.sort(rng.integers(0, 50, 300)) * 1e-3], [np.zeros(300)])
+    if kind == "period-classes":  # lengths on both sides of powers of two
+        return _period_runs([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1, 1, 128, 129, 2])
+    if kind == "coarse-floats":  # floats 0.25 apart: most services round away or up
+        return _queues([2.0**50], [2.0**50 + np.sort(rng.integers(0, 400, 500)) * 0.25], [rng.uniform(0.0, 0.3, 500)])
+    if kind == "unsorted":  # the recurrence does not need sorted arrivals
+        return _queues(rng.uniform(0, 1, 3), rng.uniform(0, 1, (3, 300)), rng.exponential(3e-3, (3, 300)))
+    if kind == "many-queues":  # loads from light to overloaded
+        arrivals = np.cumsum(rng.exponential(1e-3, (8, 600)), axis=1)
+        services = rng.exponential(1e-3, (8, 600)) * np.linspace(0.3, 1.5, 8)[:, None]
+        return _queues(np.zeros(8), arrivals, services)
+    if kind == "grid":  # a stream block's layout, gaps at -inf front and back
+        return _grid_queues(rng, replicas=5, offset=3, rows=1000)
+    assert kind == "carries-only"
+    return _queues([0.5, -1.0, 2.0], np.empty((3, 0)), np.empty((3, 0)))
+
+
+FIFO_CASES = [
+    "idle",
+    "one-period",
+    "exact-ties",
+    "backlog",
+    "zero-service",
+    "period-classes",
+    "coarse-floats",
+    "unsorted",
+    "many-queues",
+    "grid",
+    "carries-only",
+]
+
+
+def _hex_rows(finish):
+    return [[f.hex() for f in row] for row in finish.tolist()]
+
+
 class TestBusyPeriodFold:
+    @pytest.mark.parametrize("kind", FIFO_CASES)
+    def test_finishes_equal_the_per_row_recurrence(self, kind):
+        """``_fifo_finishes`` on hand-built queues gives every finish of the
+        per-row recurrence by ``.hex()``."""
+        arrival, service = _fifo_case(kind)
+        finish = cluster_module._fifo_finishes(arrival, service)
+        assert _hex_rows(finish) == _hex_rows(_per_row_finishes(arrival, service))
+
+    @differential_settings()
+    @given(
+        queues=st.integers(1, 6),
+        depth=st.integers(1, 300),
+        head_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fold_periods_is_the_left_fold_of_each_period(self, queues, depth, head_share, seed):
+        """Given any heads (the first cell always one), every period's
+        finishes are ``a + s`` at its head, then the previous finish plus
+        ``s``, added in row-major order, whatever mix of period lengths."""
+        rng = np.random.default_rng(seed)
+        arrival = rng.uniform(-1.0, 1.0, (queues, depth))
+        service = rng.exponential(1.0, (queues, depth))
+        heads = rng.random((queues, depth)) < head_share
+        heads.flat[0] = True
+        expected = []
+        for a, s, head in zip(arrival.ravel().tolist(), service.ravel().tolist(), heads.ravel().tolist()):
+            expected.append((a if head else expected[-1]) + s)
+        folded = cluster_module._fold_periods(arrival, service, heads)
+        assert [f.hex() for f in folded.ravel().tolist()] == [f.hex() for f in expected]
+
     @differential_settings()
     @given(
         replicas=st.integers(1, 8),
@@ -664,6 +778,25 @@ class TestBusyPeriodFold:
             assert [f.hex() for f in finish[0].tolist()] == [f.hex() for f in expected[0].tolist()], seed
             needed_fallback += not np.array_equal(folds[-1], expected)
         assert needed_fallback > 0
+
+    def test_re_proposed_heads_settle_some_chains_before_the_fallback(self):
+        """A near-tie chain whose first proposal fails can be settled by
+        proposing its heads again from the folded finishes: its last fold
+        is then already the recurrence's, and no row runs the per-row loop."""
+        settled = []
+        for seed in range(60):
+            arrival, service = _tie_chain(seed)
+            folds = []
+
+            def recording_fold(*args, fold=cluster_module._fold_periods):
+                folds.append(fold(*args))
+                return folds[-1]
+
+            with mock.patch.object(cluster_module, "_fold_periods", recording_fold):
+                cluster_module._fifo_finishes(arrival, service)
+            if 1 < len(folds) and np.array_equal(folds[-1], _per_row_finishes(arrival, service)):
+                settled.append((seed, len(folds) - 1))
+        assert settled and all(rounds <= cluster_module._FOLD_ROUNDS for _, rounds in settled)
 
 
 # ---------------------------------------------------------------------------
