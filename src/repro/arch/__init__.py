@@ -13,7 +13,7 @@ from .queues import FIFOQueue, QueueEmptyError, QueueFullError, QueueStatistics
 from .memory import BankAccessError, BankedBuffer, PingPongMessageBuffers
 from .nt_unit import NTTiming, NTUnit, nt_timing
 from .mp_unit import MPTiming, MPUnit, mp_timing
-from .adapter import MulticastAdapter, MulticastRoute
+from .adapter import MulticastAdapter
 from .pipeline import LayerTiming, schedule_layer
 from .simulator import (
     ModelProfile,
@@ -54,7 +54,6 @@ __all__ = [
     "MPUnit",
     "mp_timing",
     "MulticastAdapter",
-    "MulticastRoute",
     "LayerTiming",
     "schedule_layer",
     "ModelProfile",

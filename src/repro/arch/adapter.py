@@ -7,76 +7,29 @@ units that have at least one edge whose source is that node, re-batching from
 ``P_apply``-element chunks to ``P_scatter``-element chunks when the two
 parallelism factors differ.
 
-Two things matter for the cycle model:
-
-* **Routing**: which MP units receive each node (a pure function of the edge
-  list and the destination-bank assignment, computed on the fly).
-* **Alignment delay**: an MP unit can start the k-th ``P_scatter`` chunk of
-  an edge only once ``k * P_scatter`` elements of the source embedding have
-  left the NT unit, i.e. after ``ceil(k * P_scatter / P_apply)`` output
-  cycles — this is the within-node NT/MP pipelining the paper highlights.
+The cycle model reads only the adapter's **alignment delay**: an MP unit can
+start the k-th ``P_scatter`` chunk of an edge only once ``k * P_scatter``
+elements of the source embedding have left the NT unit, i.e. after
+``ceil(k * P_scatter / P_apply)`` output cycles — this is the within-node
+NT/MP pipelining the paper highlights.  Routing needs no model of its own:
+the MP schedule assigns each edge to its destination's bank
+(``dst % P_edge``), so a node reaches exactly the units that hold its edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Sequence, Set
 
-import numpy as np
-
-from ..graph import Graph
 from .config import ArchitectureConfig
 
-__all__ = ["MulticastRoute", "MulticastAdapter"]
-
-
-@dataclass(frozen=True)
-class MulticastRoute:
-    """Destination MP units for one source node's embedding stream."""
-
-    node: int
-    mp_units: Sequence[int]
-
-    @property
-    def fanout(self) -> int:
-        return len(self.mp_units)
+__all__ = ["MulticastAdapter"]
 
 
 class MulticastAdapter:
-    """On-the-fly multicast routing and chunk re-batching."""
+    """Chunk re-batching and its alignment delays."""
 
     def __init__(self, config: ArchitectureConfig) -> None:
         self.config = config
-        self.multicasts = 0
-        self.chunks_forwarded = 0
-
-    # -- routing ---------------------------------------------------------------
-    def routes_for_graph(self, graph: Graph, num_mp_units: int) -> List[MulticastRoute]:
-        """Compute, per node, the set of MP units needing its embedding.
-
-        A node is multicast to MP unit ``u`` iff it has at least one out-edge
-        whose destination lives in bank ``u``.  Nodes with no out-edges are
-        not multicast at all (their embedding only updates the node buffer).
-        """
-        unit_sets: List[Set[int]] = [set() for _ in range(graph.num_nodes)]
-        destinations_bank = graph.destinations % num_mp_units if graph.num_edges else np.zeros(0, dtype=np.int64)
-        for source, bank in zip(graph.sources, destinations_bank):
-            unit_sets[int(source)].add(int(bank))
-        routes = [
-            MulticastRoute(node=node, mp_units=tuple(sorted(units)))
-            for node, units in enumerate(unit_sets)
-        ]
-        self.multicasts += sum(route.fanout for route in routes)
-        return routes
-
-    def fanout_histogram(self, graph: Graph, num_mp_units: int) -> Dict[int, int]:
-        """Histogram of multicast fan-out (how many MP units per node)."""
-        routes = self.routes_for_graph(graph, num_mp_units)
-        histogram: Dict[int, int] = {}
-        for route in routes:
-            histogram[route.fanout] = histogram.get(route.fanout, 0) + 1
-        return histogram
 
     # -- re-batching / alignment -------------------------------------------------
     def rebatch_ratio(self) -> float:
@@ -98,5 +51,4 @@ class MulticastAdapter:
 
     def stream_complete_offset(self, embedding_dim: int) -> int:
         """Output-phase cycles until the full embedding has been forwarded."""
-        self.chunks_forwarded += ceil(embedding_dim / self.config.scatter_parallelism)
         return ceil(embedding_dim / self.config.apply_parallelism)

@@ -93,10 +93,7 @@ def estimate_energy(
     """
     total = result.total_cycles
     loading_fraction = result.loading_cycles / total if total else 0.0
-    power = estimate_power(
-        resources,
-        nt_utilisation=result.nt_utilisation(),
-        mp_utilisation=result.mp_utilisation(),
-        loading_fraction=loading_fraction,
-    )
-    return EnergyReport(power, latency_s if latency_s is not None else result.latency_s)
+    power = estimate_power(resources, result.nt_utilisation(), result.mp_utilisation(), loading_fraction)
+    if latency_s is None:
+        latency_s = result.config.cycles_to_seconds(total)  # the result's latency_s
+    return EnergyReport(power, latency_s)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graph import Graph
@@ -46,6 +47,8 @@ __all__ = [
 
 #: ``(in, out)`` widths of a run of dense layers.
 LinearShapes = Tuple[Tuple[int, int], ...]
+
+_cycles = attrgetter("cycles")
 
 _LOADING_SLOT = "_graph_loading_cycles"
 _WEIGHT_LOADING_SLOT = "_weight_loading_cycles"
@@ -124,8 +127,8 @@ class ModelProfile:
 class SimulationResult:
     """Outcome of simulating one graph through one model on one configuration.
 
-    A result is a record of one simulation: its cycle totals are summed on
-    first read and kept.
+    A result is a record of one simulation: its cycle totals are summed
+    once, by :func:`simulate_inference` or on first read, and kept.
     """
 
     model_name: str
@@ -144,7 +147,7 @@ class SimulationResult:
     def compute_cycles(self) -> int:
         """Cycles spent in the GNN layer stack."""
         if self._compute_cycles is None:
-            self._compute_cycles = int(sum(t.cycles for t in self.layer_timings))
+            self._compute_cycles = int(sum(map(_cycles, self.layer_timings)))
         return self._compute_cycles
 
     @property
@@ -345,13 +348,12 @@ def simulate_inference(
     if functional:
         functional_output = model.forward(graph)
 
-    return SimulationResult(
-        model_name=profile.name,
-        graph_name=graph.name,
-        config=config,
-        layer_timings=layer_timings,
-        loading_cycles=graph_loading_cycles(graph, config),
-        readout_cycles=_readout_cycles(profile, graph, config),
-        weight_loading_cycles=weight_loading_cycles(profile, config),
-        functional_output=functional_output,
+    loading = graph_loading_cycles(graph, config)
+    readout = _readout_cycles(profile, graph, config)
+    weights = weight_loading_cycles(profile, config)
+    result = SimulationResult(
+        profile.name, graph.name, config, layer_timings, loading, readout, weights, functional_output
     )
+    result._compute_cycles = compute = int(sum(map(_cycles, layer_timings)))
+    result._total_cycles = loading + compute + readout
+    return result

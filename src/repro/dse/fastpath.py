@@ -38,10 +38,13 @@ schedule cache's signature.  It is a tuple of a few Python ``int`` pairs
 (at most 8 on the sweep's graphs, which have 28 to 896 edges), so a cache
 miss is a handful of integer operations and no numpy call.
 
-What a miss reads from the ``(spec, config)`` pair — :func:`nt_timing`,
-:func:`mp_timing`, the multicast adapter's two offsets and the integers
-derived from them — is a :class:`LayerPlan`.  :func:`fast_schedule_layer`
-takes an optional dict of plans for one configuration;
+What a miss reads from the ``(spec, config)`` pair is a :class:`LayerPlan`.
+Its constants — :func:`nt_timing`, :func:`mp_timing`, the multicast
+adapter's two offsets and the integers derived from them — read only the
+spec, ``P_apply``, ``P_scatter`` and the two overheads, so they are derived
+once per spec and those knobs and kept on the spec; a plan adds the point's
+unit counts, barrier and layout key.  :func:`fast_schedule_layer` takes an
+optional dict of plans for one configuration;
 :meth:`~repro.dse.ScheduleCache.bind` keeps one, so a sweep point builds
 each distinct spec's plan once instead of once per graph.
 
@@ -55,6 +58,7 @@ short loop), so they fall through to the reference implementation.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -76,17 +80,21 @@ _GATHER_SLOT = "_dse_gather_layout"
 Hull = Tuple[Tuple[int, int], ...]
 
 
+#: The knobs a plan's constants read besides the spec.
+_CONSTANT_KNOBS = attrgetter("apply_parallelism", "scatter_parallelism", "nt_overhead_cycles", "edge_overhead_cycles")
+
+
 class LayerPlan(NamedTuple):
     """What a FlowGNN schedule reads from one ``(spec, config)`` pair.
 
+    The fields up to ``edge_latency`` are the plan's constants: they read
+    only the spec, ``P_apply``, ``P_scatter`` and the two overheads.
     ``interval`` weighs a layout point's ``x`` (the NT step between
     consecutive nodes of a unit) and ``edge_latency`` its ``y``;
     ``layout_key`` is where the graph's cache keeps the bank layout.
     """
 
     gather_first: bool
-    nt_units: int
-    mp_units: int
     node_interval: int
     accumulate: int
     interval: int
@@ -94,12 +102,14 @@ class LayerPlan(NamedTuple):
     ready_offset: int
     drain: int
     edge_latency: int
+    nt_units: int
+    mp_units: int
     barrier: int
     layout_key: Tuple[str, int, int]
 
 
-def layer_plan(spec: LayerSpec, config: ArchitectureConfig) -> LayerPlan:
-    """The :class:`LayerPlan` of ``spec`` under a FlowGNN ``config``."""
+def _plan_constants(spec: LayerSpec, config: ArchitectureConfig) -> Tuple:
+    """The first eight fields of the plan of ``spec`` under ``config``."""
     nt = nt_timing(spec, config)
     mp = mp_timing(spec, config)
     adapter = MulticastAdapter(config)
@@ -108,25 +118,34 @@ def layer_plan(spec: LayerSpec, config: ArchitectureConfig) -> LayerPlan:
     gather_first = spec.dataflow == "mp_to_nt"
     accumulate = nt.accumulate_cycles + nt.overhead_cycles
     edge_latency = mp.edge_latency
-    return LayerPlan(
-        gather_first=gather_first,
-        nt_units=config.num_nt_units,
-        mp_units=config.num_mp_units,
-        node_interval=nt.node_interval,
-        accumulate=accumulate,
-        interval=nt.node_interval if gather_first else max(accumulate, nt.output_cycles),
-        output=nt.output_cycles,
+    return (
+        gather_first,
+        nt.node_interval,
+        accumulate,
+        nt.node_interval if gather_first else max(accumulate, nt.output_cycles),
+        nt.output_cycles,
         # ready_offset (c above) folds both constraints of the busy recurrence.
-        ready_offset=max(first_chunk, last_chunk + mp.overhead_cycles - edge_latency),
-        drain=nt.node_latency - nt.node_interval,
-        edge_latency=edge_latency,
-        barrier=config.layer_barrier_cycles,
-        layout_key=(
-            _GATHER_SLOT if gather_first else _SCATTER_SLOT,
-            config.num_nt_units,
-            config.num_mp_units,
-        ),
+        max(first_chunk, last_chunk + mp.overhead_cycles - edge_latency),
+        nt.node_latency - nt.node_interval,
+        edge_latency,
     )
+
+
+def layer_plan(spec: LayerSpec, config: ArchitectureConfig) -> LayerPlan:
+    """The :class:`LayerPlan` of ``spec`` under a FlowGNN ``config``.
+
+    Its constants are derived on the spec's first plan under the same
+    ``P_apply``, ``P_scatter`` and overheads, and kept on the spec (a
+    frozen dataclass, so in its ``__dict__``; not a field).
+    """
+    memo = vars(spec).setdefault("_plan_constants", {})
+    knobs = _CONSTANT_KNOBS(config)
+    constants = memo.get(knobs)
+    if constants is None:
+        constants = memo[knobs] = _plan_constants(spec, config)
+    num_nt, num_mp = config.num_nt_units, config.num_mp_units
+    layout_key = (_GATHER_SLOT if constants[0] else _SCATTER_SLOT, num_nt, num_mp)
+    return LayerPlan(*constants, num_nt, num_mp, config.layer_barrier_cycles, layout_key)
 
 
 def fast_schedule_layer(

@@ -29,7 +29,7 @@ from ..arch.accelerator import FlowGNNAccelerator, StreamResult
 from ..arch.config import ArchitectureConfig
 from ..arch.energy import estimate_energy
 from ..arch.resources import estimate_resources
-from ..arch.simulator import ModelProfile, simulate_inference, weight_loading_cycles
+from ..arch.simulator import ModelProfile, simulate_inference
 from ..datasets import load_dataset
 from ..engine import (
     CheckpointSlice,
@@ -119,28 +119,18 @@ def _evaluate_config(
     ]
     # Aggregate through StreamResult itself so engine rows are identical to
     # FlowGNNAccelerator.run_stream by construction, not by parallel code.
-    stream = StreamResult(
-        per_graph_results=results,
-        weight_loading_cycles=weight_loading_cycles(profile, config),
-        config=config,
-    )
-    latency_ms = stream.mean_latency_ms
-    total_cycles = stream.total_cycles
-
+    # Every result carries the point's weight-loading cycles.
+    stream = StreamResult(results, results[0].weight_loading_cycles, config)
     resources = estimate_resources(profile, config)
     energy = estimate_energy(results[0], resources)
     row = {"model": model_name, "dataset": dataset_name}
     row.update(_config_knobs(config))
-    row.update(
-        {
-            "latency_ms": latency_ms,
-            "total_cycles": total_cycles,
-            "dsp": resources.dsp,
-            "bram": resources.bram,
-            "lut": resources.lut,
-            "power_w": round(energy.power.total_w, 2),
-        }
-    )
+    row["latency_ms"] = stream.mean_latency_ms
+    row["total_cycles"] = stream.total_cycles
+    row["dsp"] = resources.dsp
+    row["bram"] = resources.bram
+    row["lut"] = resources.lut
+    row["power_w"] = round(energy.power.total_w, 2)
     return row
 
 

@@ -95,6 +95,8 @@ class SweepSpec:
             raise ValueError("SweepSpec needs at least one model")
         if not self.datasets:
             raise ValueError("SweepSpec needs at least one dataset")
+        _reject_repeats("models", self.models)
+        _reject_repeats("datasets", self.datasets)
         for name in self.models:
             if name not in MODEL_NAMES:
                 raise ValueError(f"unknown model {name!r}; known: {MODEL_NAMES}")
@@ -109,6 +111,7 @@ class SweepSpec:
                 )
             if not values:
                 raise ValueError(f"grid for {key!r} is empty")
+            _reject_repeats(f"grid for {key!r}", values)
         object.__setattr__(self, "backend", str(self.backend).lower())
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
@@ -193,6 +196,13 @@ class SweepSpec:
             "num_mp_units": tuple(edge_values),
         }
         return SweepSpec(models=tuple(models), datasets=tuple(datasets), grid=grid, **overrides)
+
+
+def _reject_repeats(what: str, values: Tuple) -> None:
+    """A repeated value would sweep its points twice."""
+    repeated = [value for index, value in enumerate(values) if value in values[:index]]
+    if repeated:
+        raise ValueError(f"{what} repeats {repeated[0]!r}: {list(values)}")
 
 
 def _config_knobs(config: ArchitectureConfig) -> Dict[str, int]:

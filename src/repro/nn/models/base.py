@@ -82,9 +82,11 @@ class LayerSpec:
 
     def __getstate__(self) -> dict:
         # A str hashes differently in another process, so a copy or an
-        # unpickled spec takes its own hash.
+        # unpickled spec takes its own hash, and derives its own scheduler
+        # constants (repro.dse.fastpath.layer_plan keeps them here).
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_plan_constants", None)
         return state
 
     def nt_macs_per_node(self) -> int:

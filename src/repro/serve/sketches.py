@@ -156,7 +156,10 @@ class StreamingHistogram:
         """
         if not 0 < low < high or not rel > 0:
             raise ValueError("need 0 < low < high and rel > 0")
-        count = int(math.ceil(math.log(high / low) / math.log1p(rel)))
+        count = math.log(high / low) / math.log1p(rel)
+        if not math.isfinite(count):
+            raise ValueError(f"low={low!r}, high={high!r} and rel={rel!r} give no finite bucket count")
+        count = int(math.ceil(count))
         edges = low * np.power(1.0 + rel, np.arange(count + 1))
         histogram = cls(edges)
         first, last = float(edges[0]), float(edges[-1])

@@ -143,26 +143,6 @@ class TestFunctionalUnits:
 
 
 class TestMulticastAdapter:
-    def test_routes_follow_destination_banks(self):
-        # Fig. 5 example: edges (0,1), (1,2), (1,3), (2,1) with 2 MP units.
-        graph = Graph(num_nodes=6, edge_index=[(0, 1), (1, 2), (1, 3), (2, 1)])
-        adapter = MulticastAdapter(ArchitectureConfig(num_mp_units=2))
-        routes = adapter.routes_for_graph(graph, num_mp_units=2)
-        # Node 0's only destination is node 1 (bank 1).
-        assert routes[0].mp_units == (1,)
-        # Node 1 scatters to nodes 2 (bank 0) and 3 (bank 1): both units.
-        assert routes[1].mp_units == (0, 1)
-        # Node 2 scatters to node 1 (bank 1).
-        assert routes[2].mp_units == (1,)
-        # Nodes with no out-edges are not multicast.
-        assert routes[4].fanout == 0
-
-    def test_fanout_histogram_counts_nodes(self):
-        graph = Graph(num_nodes=4, edge_index=[(0, 1), (0, 2), (1, 0)])
-        adapter = MulticastAdapter(ArchitectureConfig(num_mp_units=2))
-        histogram = adapter.fanout_histogram(graph, 2)
-        assert sum(histogram.values()) == 4
-
     def test_rebatching_offsets(self):
         adapter = MulticastAdapter(
             ArchitectureConfig(apply_parallelism=1, scatter_parallelism=4)

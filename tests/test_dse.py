@@ -1,5 +1,6 @@
 """Tests for the design-space exploration engine (``repro.dse``)."""
 
+import copy
 import dataclasses
 import itertools
 import tracemalloc
@@ -102,6 +103,38 @@ EDGE_CASE_CONFIGS = [
 weight_pairs = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=4)
 
 
+@st.composite
+def bound_configs(draw):
+    """2-4 configs over two distinct (P_apply, P_scatter) pairs, so some
+    share a plan's constants and some do not; unit counts, overheads and
+    barriers drawn per config (equal schedule keys may occur)."""
+    pairs = draw(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=2, max_size=2, unique=True)
+    )
+    count = draw(st.integers(2, 4))
+    return [
+        ArchitectureConfig(
+            num_nt_units=draw(st.integers(1, 16)),
+            num_mp_units=draw(st.integers(1, 16)),
+            apply_parallelism=pairs[pair][0],
+            scatter_parallelism=pairs[pair][1],
+            nt_overhead_cycles=draw(st.integers(0, 4)),
+            edge_overhead_cycles=draw(st.integers(0, 4)),
+            layer_barrier_cycles=draw(st.integers(0, 8)),
+        )
+        for pair in draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    ]
+
+
+#: A call of a bound function: (config, graph, spec) indices, or None to
+#: repeat the previous call.
+bound_calls = st.lists(
+    st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 7))),
+    min_size=2,
+    max_size=40,
+)
+
+
 def edges_graph(num_nodes, edges):
     return Graph(num_nodes=num_nodes, edge_index=np.array(edges, dtype=np.int64).reshape(-1, 2))
 
@@ -179,6 +212,22 @@ class TestSweepSpec:
     def test_invalid_config_value_rejected_eagerly(self):
         with pytest.raises(ValueError):
             SweepSpec(grid={"num_nt_units": (0,)})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(models=("GCN", "GAT", "GCN")), "models repeats 'GCN'"),
+            (dict(datasets=("MolHIV", "MolHIV")), "datasets repeats 'MolHIV'"),
+            (dict(grid={"num_nt_units": (1, 2, 1)}), "grid for 'num_nt_units' repeats 1"),
+            # Equal values make equal configs, whatever their type.
+            (dict(grid={"clock_mhz": (300, 300.0)}), "grid for 'clock_mhz' repeats 300.0"),
+        ],
+        ids=["model", "dataset", "grid-value", "equal-grid-values"],
+    )
+    def test_repeated_values_rejected(self, fields, message):
+        """A repeated value would sweep the same points twice."""
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**fields)
 
     def test_grid_over_non_parallelism_fields(self):
         spec = SweepSpec(grid={"node_queue_depth": (8, 32), "clock_mhz": (300.0,)})
@@ -441,6 +490,58 @@ class TestScheduleCache:
             molhiv[0], spec, config
         )
 
+    @differential_settings()
+    @given(
+        configs=bound_configs(),
+        graphs=st.lists(small_graphs(), min_size=1, max_size=3),
+        calls=bound_calls,
+        clear_at=st.floats(0, 1),
+    )
+    @example(
+        configs=[
+            ArchitectureConfig(num_nt_units=2, num_mp_units=3, apply_parallelism=2, scatter_parallelism=4),
+            ArchitectureConfig(
+                num_nt_units=4,
+                num_mp_units=1,
+                apply_parallelism=2,
+                scatter_parallelism=4,
+                nt_overhead_cycles=0,
+                layer_barrier_cycles=0,
+            ),
+            ArchitectureConfig(num_nt_units=2, num_mp_units=3, apply_parallelism=3, scatter_parallelism=1),
+        ],
+        graphs=[edges_graph(3, [[0, 1], [1, 2]]), edges_graph(3, [[0, 1], [1, 2]]), edges_graph(2, [[1, 0]])],
+        calls=[(0, 0, 0), None, (1, 0, 0), None, (0, 1, 0), (2, 2, 7), None, (0, 0, 0), (0, 0, 7), None],
+        clear_at=0.5,
+    )
+    def test_one_cache_bound_to_many_configs_counts_distinct_keys(self, configs, graphs, calls, clear_at):
+        """One cache bound to several configs, called in a random order with
+        consecutive repeats, interleaved graphs, an equal copy of a spec and
+        one ``clear()``: every timing is the reference's, and hits, misses
+        and entries are what counting distinct (config key, signature,
+        spec) keys gives."""
+        specs = [*zoo_layer_specs(), copy.copy(zoo_layer_specs()[0])]
+        cache = ScheduleCache()
+        bound = [cache.bind(config) for config in configs]
+        seen, hits, misses = set(), 0, 0
+        clear_index = int(clear_at * (len(calls) - 1))
+        previous = (0, 0, 0)
+        for index, call in enumerate(calls):
+            if index == clear_index:
+                cache.clear()
+                seen, hits, misses = set(), 0, 0
+            config_index, graph_index, spec_index = previous = call or previous
+            config = configs[config_index % len(configs)]
+            graph = graphs[graph_index % len(graphs)]
+            spec = specs[spec_index % len(specs)]
+            timing = bound[config_index % len(configs)](graph, spec, config)
+            assert timing == schedule_layer(graph, spec, config)
+            key = dse_cache.schedule_cache_key(graph, spec, config)
+            hits += key in seen
+            misses += key not in seen
+            seen.add(key)
+            assert (cache.hits, cache.misses, len(cache)) == (hits, misses, len(seen))
+
     def test_clear_resets_counters(self, molhiv):
         cache = ScheduleCache()
         model = build_model("GCN", input_dim=molhiv.node_feature_dim)
@@ -692,3 +793,29 @@ class TestCLIDse:
 
         assert main(["dse", "--models", "Transformer"]) == 2
         assert "invalid sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "repeated",
+        [
+            ["--p-node", "1,1"],
+            ["--models", "GCN,GCN", "--datasets", "MolHIV,MolHIV"],
+        ],
+        ids=["grid-value", "model-and-dataset"],
+    )
+    def test_dse_command_rejects_repeated_values(self, capsys, repeated):
+        """Each repeat used to print its rows again and exit 0."""
+        from repro.cli import main
+
+        argv = [
+            "dse", "--models", "GCN", "--datasets", "MolHIV", "--num-graphs", "2",
+            "--workers", "0", "--p-node", "1", "--p-edge", "1", "--p-apply", "1",
+            "--p-scatter", "1",
+        ]
+        for flag, value in zip(repeated[::2], repeated[1::2]):
+            argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid sweep: ")
+        assert "repeats" in captured.err
+        assert len(captured.err.splitlines()) == 1

@@ -132,6 +132,17 @@ class TestLogHistogramQuantiles:
         with pytest.raises(ValueError):
             StreamingHistogram.log_spaced(low=0.0)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [dict(low=5e-324, high=1e308), dict(low=1e-300, high=1e300), dict(rel=1e-320)],
+        ids=["subnormal-low", "overflowing-ratio", "subnormal-rel"],
+    )
+    def test_infinite_bucket_count_is_a_value_error_naming_the_range(self, grid):
+        """``high / low`` overflows, or ``log1p(rel)`` is subnormal: the
+        bucket count is infinite, which must not reach ``int``."""
+        with pytest.raises(ValueError, match=r"low=.*high=.*rel="):
+            StreamingHistogram.log_spaced(**grid)
+
 
 # ---------------------------------------------------------------------------
 # Fixed-bucket histogram bookkeeping
