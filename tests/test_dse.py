@@ -105,13 +105,12 @@ weight_pairs = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
 
 @st.composite
 def bound_configs(draw):
-    """2-4 configs over two distinct (P_apply, P_scatter) pairs, so some
-    share a plan's constants and some do not; unit counts, overheads and
-    barriers drawn per config (equal schedule keys may occur)."""
-    pairs = draw(
-        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=2, max_size=2, unique=True)
-    )
-    count = draw(st.integers(2, 4))
+    """2-4 configs over two distinct (P_apply, P_scatter) pairs, both used,
+    so configs differ in a plan's constants and, from three configs on,
+    some share them; unit counts, overheads and barriers drawn per config
+    (equal schedule keys may occur)."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=2, max_size=2, unique=True))
+    extra = draw(st.lists(st.integers(0, 1), max_size=2))
     return [
         ArchitectureConfig(
             num_nt_units=draw(st.integers(1, 16)),
@@ -122,7 +121,7 @@ def bound_configs(draw):
             edge_overhead_cycles=draw(st.integers(0, 4)),
             layer_barrier_cycles=draw(st.integers(0, 8)),
         )
-        for pair in draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        for pair in draw(st.permutations([0, 1, *extra]))
     ]
 
 
@@ -511,7 +510,8 @@ class TestScheduleCache:
             ArchitectureConfig(num_nt_units=2, num_mp_units=3, apply_parallelism=3, scatter_parallelism=1),
         ],
         graphs=[edges_graph(3, [[0, 1], [1, 2]]), edges_graph(3, [[0, 1], [1, 2]]), edges_graph(2, [[1, 0]])],
-        calls=[(0, 0, 0), None, (1, 0, 0), None, (0, 1, 0), (2, 2, 7), None, (0, 0, 0), (0, 0, 7), None],
+        # The clear falls before call 5, which repeats call 4.
+        calls=[(0, 0, 0), None, (1, 0, 0), None, (0, 1, 0), None, (2, 2, 7), (0, 0, 0), (0, 0, 7), None],
         clear_at=0.5,
     )
     def test_one_cache_bound_to_many_configs_counts_distinct_keys(self, configs, graphs, calls, clear_at):
@@ -524,7 +524,8 @@ class TestScheduleCache:
         cache = ScheduleCache()
         bound = [cache.bind(config) for config in configs]
         seen, hits, misses = set(), 0, 0
-        clear_index = int(clear_at * (len(calls) - 1))
+        # At least one call on each side of the clear.
+        clear_index = 1 + int(clear_at * (len(calls) - 2))
         previous = (0, 0, 0)
         for index, call in enumerate(calls):
             if index == clear_index:
@@ -807,8 +808,14 @@ class TestCLIDse:
         from repro.cli import main
 
         argv = [
-            "dse", "--models", "GCN", "--datasets", "MolHIV", "--num-graphs", "2",
-            "--workers", "0", "--p-node", "1", "--p-edge", "1", "--p-apply", "1",
+            "dse",
+            "--models", "GCN",
+            "--datasets", "MolHIV",
+            "--num-graphs", "2",
+            "--workers", "0",
+            "--p-node", "1",
+            "--p-edge", "1",
+            "--p-apply", "1",
             "--p-scatter", "1",
         ]
         for flag, value in zip(repeated[::2], repeated[1::2]):
