@@ -3,7 +3,7 @@
 The package mirrors the system described in *FlowGNN: A Dataflow Architecture
 for Real-Time Workload-Agnostic Graph Neural Network Inference* (HPCA 2023):
 
-* :mod:`repro.graph`     — graph data structures, formats, generators, partitioning;
+* :mod:`repro.graph`     — the COO graph structure, generators, partitioning, streams;
 * :mod:`repro.datasets`  — synthetic datasets matched to the paper's workloads;
 * :mod:`repro.nn`        — numpy reference GNN library (GCN, GIN, GIN+VN, GAT, PNA, DGN);
 * :mod:`repro.arch`      — the FlowGNN dataflow architecture: cycle-level simulator,

@@ -9,10 +9,8 @@ from .config import (
     fixed_pipeline_config,
     non_pipeline_config,
 )
-from .queues import FIFOQueue, QueueEmptyError, QueueFullError, QueueStatistics
-from .memory import BankAccessError, BankedBuffer, PingPongMessageBuffers
-from .nt_unit import NTTiming, NTUnit, nt_timing
-from .mp_unit import MPTiming, MPUnit, mp_timing
+from .nt_unit import NTTiming, nt_timing
+from .mp_unit import MPTiming, mp_timing
 from .adapter import MulticastAdapter
 from .pipeline import LayerTiming, schedule_layer
 from .simulator import (
@@ -30,7 +28,6 @@ from .resources import (
     estimate_resources,
 )
 from .energy import EnergyReport, PowerModel, estimate_energy
-from .tracing import UtilisationTrace, compare_traces, trace_from_result
 
 __all__ = [
     "ArchitectureConfig",
@@ -40,18 +37,9 @@ __all__ = [
     "default_flowgnn_config",
     "fixed_pipeline_config",
     "non_pipeline_config",
-    "FIFOQueue",
-    "QueueEmptyError",
-    "QueueFullError",
-    "QueueStatistics",
-    "BankAccessError",
-    "BankedBuffer",
-    "PingPongMessageBuffers",
     "NTTiming",
-    "NTUnit",
     "nt_timing",
     "MPTiming",
-    "MPUnit",
     "mp_timing",
     "MulticastAdapter",
     "LayerTiming",
@@ -70,7 +58,4 @@ __all__ = [
     "EnergyReport",
     "PowerModel",
     "estimate_energy",
-    "UtilisationTrace",
-    "compare_traces",
-    "trace_from_result",
 ]

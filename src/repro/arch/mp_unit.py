@@ -1,4 +1,4 @@
-"""Message Passing (MP) unit: timing and functional models.
+"""Message Passing (MP) unit: its per-edge timing model.
 
 Each MP unit owns a bank of destination nodes (``dst % P_edge``) and handles
 every edge pointing into that bank.  Per edge it:
@@ -19,20 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Optional
-
-import numpy as np
 
 from ..nn.models.base import LayerSpec
 from .config import ArchitectureConfig
-from .memory import BankedBuffer
 
-__all__ = ["MPTiming", "mp_timing", "MPUnit"]
-
-# Running reductions the MP unit can maintain in the message buffer without
-# materialising per-edge messages (O(N) memory).  Mean is sum + a divide in
-# the NT unit; std needs sum and sum-of-squares, still O(N).
-_RUNNING_REDUCTIONS = {"sum", "mean", "max", "min", "std"}
+__all__ = ["MPTiming", "mp_timing"]
 
 
 @dataclass(frozen=True)
@@ -60,55 +51,3 @@ def mp_timing(spec: LayerSpec, config: ArchitectureConfig) -> MPTiming:
         # address-generation overhead rather than extra chunk passes.
         overhead += 1
     return MPTiming(chunk_cycles=int(chunks), passes=int(passes), overhead_cycles=int(overhead))
-
-
-class MPUnit:
-    """Functional MP unit: scatters messages into its bank of the message buffer.
-
-    Only the elementary running reductions are executed edge-by-edge here;
-    richer aggregations (PNA's scaled multi-aggregation, DGN's directional
-    weights, GAT's attention) are verified at the layer level instead, since
-    their hardware implementation keeps several running aggregates whose
-    combination is algebraically identical to the batched reference.
-    """
-
-    def __init__(self, unit_id: int, config: ArchitectureConfig) -> None:
-        self.unit_id = unit_id
-        self.config = config
-        self.edges_processed = 0
-        self.busy_cycles = 0
-
-    def owns_destination(self, destination: int, num_units: int) -> bool:
-        """An MP unit owns every edge whose destination is in its bank."""
-        return destination % num_units == self.unit_id
-
-    def scatter_edge(
-        self,
-        layer,
-        message_buffer: BankedBuffer,
-        source_embedding: np.ndarray,
-        destination_embedding: np.ndarray,
-        destination: int,
-        edge_features: Optional[np.ndarray],
-        reduction: str = "sum",
-        timing: Optional[MPTiming] = None,
-    ) -> np.ndarray:
-        """Compute one edge's message and fold it into the destination's aggregate."""
-        if reduction not in _RUNNING_REDUCTIONS:
-            raise ValueError(
-                f"MP unit cannot maintain a running {reduction!r} aggregate"
-            )
-        self.edges_processed += 1
-        if timing is not None:
-            self.busy_cycles += timing.edge_latency
-        message = layer.message(
-            source_embedding[None, :],
-            destination_embedding[None, :],
-            None if edge_features is None else edge_features[None, :],
-        )[0]
-        running = "sum" if reduction in ("sum", "mean", "std") else reduction
-        message_buffer.accumulate(
-            destination, message, owner_bank=self.unit_id % message_buffer.num_banks,
-            reduction=running,
-        )
-        return message

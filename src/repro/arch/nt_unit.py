@@ -1,4 +1,4 @@
-"""Node Transformation (NT) unit: timing and functional models.
+"""Node Transformation (NT) unit: its per-node timing model.
 
 The canonical NT unit (Sec. III-D2) runs two overlapped processes per node:
 
@@ -19,14 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Optional
-
-import numpy as np
 
 from ..nn.models.base import LayerSpec
 from .config import ArchitectureConfig
 
-__all__ = ["NTTiming", "nt_timing", "NTUnit"]
+__all__ = ["NTTiming", "nt_timing"]
 
 
 @dataclass(frozen=True)
@@ -66,51 +63,3 @@ def nt_timing(spec: LayerSpec, config: ArchitectureConfig) -> NTTiming:
         output_cycles=int(output),
         overhead_cycles=int(config.nt_overhead_cycles),
     )
-
-
-class NTUnit:
-    """Functional NT unit: applies a layer's node transformation per node.
-
-    The functional path exists so tests can verify the accelerator's banked
-    execution produces exactly the reference library's numbers; the timing
-    path (:func:`nt_timing`) never looks at the data.
-    """
-
-    def __init__(self, unit_id: int, config: ArchitectureConfig) -> None:
-        self.unit_id = unit_id
-        self.config = config
-        self.nodes_processed = 0
-        self.busy_cycles = 0
-
-    def owns_node(self, node: int, num_units: int) -> bool:
-        """Round-robin node ownership across NT units."""
-        return node % num_units == self.unit_id
-
-    def transform(
-        self,
-        layer,
-        node_embedding: np.ndarray,
-        aggregated_message: np.ndarray,
-        timing: Optional[NTTiming] = None,
-    ) -> np.ndarray:
-        """Apply gamma(x, m) for a single node and account the busy time."""
-        self.nodes_processed += 1
-        if timing is not None:
-            self.busy_cycles += timing.node_interval
-        result = layer.update(
-            node_embedding[None, :], aggregated_message[None, :]
-        )
-        return np.asarray(result)[0]
-
-    def transform_block(
-        self,
-        layer,
-        node_embeddings: np.ndarray,
-        aggregated_messages: np.ndarray,
-        timing: Optional[NTTiming] = None,
-    ) -> np.ndarray:
-        """Vectorised transform of all nodes owned by this unit."""
-        self.nodes_processed += int(node_embeddings.shape[0])
-        if timing is not None:
-            self.busy_cycles += timing.node_interval * int(node_embeddings.shape[0])
-        return np.asarray(layer.update(node_embeddings, aggregated_messages))

@@ -1,4 +1,4 @@
-"""Range checks that NaN cannot slip through.
+"""Input checks shared by the specs, the parsers and the CLI.
 
 A check written ``x < 0`` or ``x <= 0`` lets NaN pass, because every
 comparison with NaN is false; a NaN event time or interval then never
@@ -12,18 +12,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["finite", "finite_nonnegative", "finite_positive"]
-
-
-def finite(value, name: str):
-    """``value`` when it is finite; otherwise ``ValueError``.
-
-    Check a float with it before ``int()``, which raises ``OverflowError``
-    on ±inf (an exception the CLI does not turn into one line).
-    """
-    if not -math.inf < value < math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+__all__ = ["finite_nonnegative", "finite_positive", "integral", "reject_repeats"]
 
 
 def finite_nonnegative(value, name: str):
@@ -38,3 +27,27 @@ def finite_positive(value, name: str):
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return value
+
+
+def integral(value, name: str) -> int:
+    """``value`` as an ``int`` when it is finite and integral; otherwise ``ValueError``.
+
+    Use it in place of ``int()`` on a parsed number: ``int()`` truncates 2.5
+    to 2 without a word, names no slot on NaN and raises ``OverflowError``
+    (an exception the CLI does not turn into one line) on ±inf.
+    """
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def reject_repeats(what: str, values) -> None:
+    """``ValueError`` when ``values`` holds one value twice.
+
+    A grid that repeats a value would sweep its points twice.
+    """
+    repeated = [value for index, value in enumerate(values) if value in values[:index]]
+    if repeated:
+        raise ValueError(f"{what} repeats {repeated[0]!r}: {list(values)}")

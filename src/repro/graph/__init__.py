@@ -1,8 +1,6 @@
-"""Graph substrate: data structures, formats, generators and partitioning."""
+"""Graph substrate: the COO graph, generators, partitioning and streams."""
 
 from .graph import Graph, GraphValidationError
-from .formats import CSRMatrix, CSCMatrix, to_csr, to_csc, to_coo, from_dense
-from .batch import BatchedGraph, batch_graphs, unbatch_node_values, iter_batches
 from .generators import (
     erdos_renyi_graph,
     barabasi_albert_graph,
@@ -27,16 +25,6 @@ from .streaming import (
 __all__ = [
     "Graph",
     "GraphValidationError",
-    "CSRMatrix",
-    "CSCMatrix",
-    "to_csr",
-    "to_csc",
-    "to_coo",
-    "from_dense",
-    "BatchedGraph",
-    "batch_graphs",
-    "unbatch_node_values",
-    "iter_batches",
     "erdos_renyi_graph",
     "barabasi_albert_graph",
     "powerlaw_cluster_graph",

@@ -4,9 +4,10 @@ The paper streams graphs into the accelerator in *raw edge-list (COO) format*
 with zero CPU intervention or preprocessing.  ``Graph`` therefore stores the
 edge list exactly as it arrives: a ``(num_edges, 2)`` integer array of
 ``(source, destination)`` pairs, plus optional dense node and edge feature
-matrices.  All derived representations (CSR, CSC, degree tables, bank
-partitions) are computed lazily by other modules so that the "no
-preprocessing" property of the accelerator can be evaluated honestly.
+matrices.  Nothing converts it to CSR or CSC: the derived views (degree
+tables, bank partitions) are computed lazily from the edge list itself, so
+that the "no preprocessing" property of the accelerator can be evaluated
+honestly.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Tuple
 
 from ..api.backends import BACKEND_NAMES
-from ..checks import finite_nonnegative, finite_positive
+from ..checks import finite_nonnegative, finite_positive, reject_repeats
 from ..serve.autoscale import parse_admission, parse_autoscaler
 from ..serve.carbon import CarbonIntensity
 from ..serve.cluster import POLICY_NAMES
@@ -33,6 +33,21 @@ __all__ = ["TenantMix", "Scenario", "PlanSpec", "ARRIVAL_NAMES"]
 
 #: Arrival-process conveniences a scenario can name (plus ``trace:PATH``).
 ARRIVAL_NAMES: Tuple[str, ...] = ("poisson", "bursty", "constant", "diurnal")
+
+#: The eleven grid fields of a :class:`PlanSpec`.
+_GRIDS = (
+    "replicas",
+    "policies",
+    "max_batch_sizes",
+    "batch_timeouts_s",
+    "queue_capacities",
+    "arrivals",
+    "autoscalers",
+    "faults",
+    "admissions",
+    "carbon_traces",
+    "power_caps",
+)
 
 
 @dataclass(frozen=True)
@@ -193,19 +208,7 @@ class PlanSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mixes", tuple(self.mixes))
-        for name in (
-            "replicas",
-            "policies",
-            "max_batch_sizes",
-            "batch_timeouts_s",
-            "queue_capacities",
-            "arrivals",
-            "autoscalers",
-            "faults",
-            "admissions",
-            "carbon_traces",
-            "power_caps",
-        ):
+        for name in _GRIDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.mixes:
             raise ValueError("PlanSpec needs at least one tenant mix")
@@ -217,19 +220,7 @@ class PlanSpec:
             raise ValueError(
                 f"unknown backend {self.backend!r}; registered: {BACKEND_NAMES}"
             )
-        for grid_name in (
-            "replicas",
-            "policies",
-            "max_batch_sizes",
-            "batch_timeouts_s",
-            "queue_capacities",
-            "arrivals",
-            "autoscalers",
-            "faults",
-            "admissions",
-            "carbon_traces",
-            "power_caps",
-        ):
+        for grid_name in _GRIDS:
             if not getattr(self, grid_name):
                 raise ValueError(f"grid {grid_name!r} is empty")
         if any(count < 1 for count in self.replicas):
@@ -286,6 +277,8 @@ class PlanSpec:
         for cap in self.power_caps:
             if cap is not None:
                 finite_positive(cap, "power cap")
+        for grid_name in _GRIDS:
+            reject_repeats(f"grid {grid_name!r}", getattr(self, grid_name))
         if self.power is not None:
             PowerModel.parse(self.power)
         if self.mode not in ("exact", "sketch"):

@@ -57,7 +57,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..checks import finite, finite_nonnegative, finite_positive
+from ..checks import finite_nonnegative, finite_positive, integral
 
 __all__ = [
     "AutoscalerMetrics",
@@ -458,7 +458,7 @@ def parse_autoscaler(text: str) -> Autoscaler:
             )
         attr, cast = keys[key]
         number = float(value)
-        kwargs[attr] = int(finite(number, attr)) if cast is int else number
+        kwargs[attr] = integral(number, attr) if cast is int else number
     return factory(**kwargs)
 
 
@@ -492,7 +492,7 @@ def parse_admission(text: str) -> AdmissionControl:
             elif key == "release":
                 kwargs["release_headroom"] = float(value)
             elif key == "queue":
-                kwargs["max_queue_depth"] = int(finite(float(value), "max_queue_depth"))
+                kwargs["max_queue_depth"] = integral(float(value), "max_queue_depth")
             elif key == "headroom":
                 kwargs["deadline_headroom"] = float(value)
             else:
@@ -512,7 +512,7 @@ def parse_admission(text: str) -> AdmissionControl:
         if not eq:
             raise ValueError(f"cannot parse admission parameter {pair!r}; expected k=v")
         if key == "queue":
-            max_queue_depth = int(finite(float(value), "max_queue_depth"))
+            max_queue_depth = integral(float(value), "max_queue_depth")
         elif key == "headroom":
             deadline_headroom = float(value)
         else:

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..checks import finite, finite_nonnegative, finite_positive
+from ..checks import finite_nonnegative, finite_positive, integral
 
 __all__ = ["CarbonIntensity", "parse_carbon_trace", "J_PER_KWH"]
 
@@ -178,7 +178,7 @@ class CarbonIntensity:
                 low=known["low"],
                 high=known["high"],
                 period_s=known["period"],
-                steps=int(finite(known["steps"], "diurnal steps")),
+                steps=integral(known["steps"], "diurnal steps"),
             )
         if name == "constant":
             if not rest:

@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import finite_nonnegative, finite_positive
+from ..checks import finite_nonnegative, finite_positive, integral
 
 __all__ = ["FaultEvent", "FaultSchedule", "parse_fault_schedule", "FAULT_ACTIONS"]
 
@@ -185,7 +185,7 @@ class FaultSchedule:
                 horizon_s=float(horizon),
                 mtbf_s=float(params["mtbf"]),
                 mttr_s=float(params["mttr"]),
-                seed=int(params.get("seed", 0)),
+                seed=integral(params.get("seed", 0), "seed"),
             )
         events = []
         for part in text.split(";"):
@@ -226,7 +226,7 @@ def _parse_event(part: str) -> FaultEvent:
     return FaultEvent(
         time_s=float(time_text),
         action=action,
-        replica=int(replica_text[1:]),
+        replica=integral(float(replica_text[1:]), "fault replica"),
         factor=factor,
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the FPGA resource and energy models, and the utilisation traces."""
+"""Tests for the FPGA resource and energy models."""
 
 import pytest
 
@@ -8,10 +8,8 @@ from repro.arch import (
     FlowGNNAccelerator,
     ModelProfile,
     TABLE3_REFERENCE,
-    compare_traces,
     estimate_energy,
     estimate_resources,
-    trace_from_result,
 )
 from repro.arch.energy import estimate_power
 from repro.datasets import load_dataset
@@ -135,29 +133,3 @@ class TestEnergy:
         busy = estimate_power(resources, nt_utilisation=1.0, mp_utilisation=1.0, loading_fraction=0.2)
         assert busy.total_w > idle.total_w
         assert idle.total_w >= 20.0  # static floor
-
-
-class TestTraces:
-    def test_trace_aggregation(self, gcn_model, molhiv_sample):
-        result = FlowGNNAccelerator(gcn_model).run(molhiv_sample[0])
-        trace = trace_from_result(result)
-        assert trace.total_cycles == result.compute_cycles
-        assert trace.nt_busy_cycles > 0 and trace.mp_busy_cycles > 0
-        assert 0.0 < trace.overall_utilisation <= 1.0
-        assert trace.nt_idle_cycles >= 0 and trace.mp_idle_cycles >= 0
-        assert set(trace.as_dict()) >= {"total_cycles", "nt_utilisation", "mp_utilisation"}
-
-    def test_compare_traces_speedups(self, gcn_model, molhiv_sample):
-        from repro.arch import non_pipeline_config
-
-        graph = molhiv_sample[0]
-        slow = trace_from_result(
-            FlowGNNAccelerator(gcn_model, non_pipeline_config()).run(graph)
-        )
-        fast = trace_from_result(FlowGNNAccelerator(gcn_model).run(graph))
-        rows = compare_traces({"non_pipeline": slow, "flowgnn": fast})
-        assert rows["non_pipeline"]["speedup_vs_first"] == pytest.approx(1.0)
-        assert rows["flowgnn"]["speedup_vs_first"] > 1.0
-
-    def test_compare_traces_empty(self):
-        assert compare_traces({}) == {}

@@ -1,19 +1,11 @@
 """Tests for the NT unit, MP unit and the NT-to-MP multicast adapter."""
 
-import numpy as np
-import pytest
-
 from repro.arch import (
     ArchitectureConfig,
-    BankedBuffer,
-    MPUnit,
     MulticastAdapter,
-    NTUnit,
     mp_timing,
     nt_timing,
 )
-from repro.graph import Graph
-from repro.nn import build_gin, segment_sum
 from repro.nn.models.base import LayerSpec
 
 
@@ -78,68 +70,6 @@ class TestMPTiming:
     def test_edge_latency_composition(self):
         timing = mp_timing(_spec(), ArchitectureConfig(scatter_parallelism=4))
         assert timing.edge_latency == timing.chunk_cycles * timing.passes + timing.overhead_cycles
-
-
-class TestFunctionalUnits:
-    def test_nt_unit_matches_layer_update(self):
-        model = build_gin(input_dim=9, edge_input_dim=3, hidden_dim=8, num_layers=1, seed=1)
-        layer = model.layers[0]
-        unit = NTUnit(0, ArchitectureConfig())
-        x = np.random.default_rng(0).standard_normal(8)
-        m = np.random.default_rng(1).standard_normal(8)
-        out = unit.transform(layer, x, m)
-        expected = layer.update(x[None, :], m[None, :])[0]
-        np.testing.assert_allclose(out, expected)
-        assert unit.nodes_processed == 1
-
-    def test_nt_unit_round_robin_ownership(self):
-        unit0 = NTUnit(0, ArchitectureConfig())
-        unit1 = NTUnit(1, ArchitectureConfig())
-        assert unit0.owns_node(0, 2) and not unit1.owns_node(0, 2)
-        assert unit1.owns_node(3, 2) and not unit0.owns_node(3, 2)
-
-    def test_mp_units_banked_scatter_matches_reference_sum(self):
-        """Edge-by-edge banked scatter reproduces the batched segment sum."""
-        rng = np.random.default_rng(3)
-        num_nodes, dim = 10, 6
-        edges = [(int(rng.integers(0, num_nodes)), int(rng.integers(0, num_nodes))) for _ in range(40)]
-        graph = Graph(num_nodes=num_nodes, edge_index=edges)
-        x = rng.standard_normal((num_nodes, dim))
-        edge_embeddings = rng.standard_normal((len(edges), dim))
-
-        model = build_gin(input_dim=dim, hidden_dim=dim, num_layers=1, seed=4)
-        layer = model.layers[0]
-
-        config = ArchitectureConfig(num_mp_units=4)
-        buffer = BankedBuffer(num_nodes, dim, num_banks=4)
-        units = [MPUnit(b, config) for b in range(4)]
-        for edge_id, (src, dst) in enumerate(edges):
-            unit = units[dst % 4]
-            unit.scatter_edge(
-                layer,
-                buffer,
-                source_embedding=x[src],
-                destination_embedding=x[dst],
-                destination=dst,
-                edge_features=edge_embeddings[edge_id],
-                reduction="sum",
-            )
-        # Reference: batched message computation followed by a segment sum.
-        messages = layer.message(
-            x[graph.sources], x[graph.destinations], edge_embeddings
-        )
-        expected = segment_sum(messages, graph.destinations, num_nodes)
-        np.testing.assert_allclose(buffer.snapshot(), expected, atol=1e-9)
-        assert sum(u.edges_processed for u in units) == len(edges)
-
-    def test_mp_unit_rejects_non_running_reduction(self):
-        model = build_gin(input_dim=4, hidden_dim=4, num_layers=1)
-        unit = MPUnit(0, ArchitectureConfig())
-        buffer = BankedBuffer(2, 4)
-        with pytest.raises(ValueError):
-            unit.scatter_edge(
-                model.layers[0], buffer, np.zeros(4), np.zeros(4), 0, None, reduction="attention"
-            )
 
 
 class TestMulticastAdapter:

@@ -1002,3 +1002,54 @@ class TestInfiniteIntegerSpecs:
         assert main(_TINY_SERVE + ["--admission", "queue=nan"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "max_queue_depth must be finite, got nan" in err
+
+
+class TestFractionalIntegerSpecs:
+    """An integer slot of a spec string takes only an integral number: 2.5
+    used to be truncated to 2 without a word, and a NaN seed or a
+    fractional replica printed a raw ``int()`` message naming no slot."""
+
+    _CASES = {
+        "autoscale-min": (
+            ["--autoscale", "reactive:min=2.5"],
+            "invalid serving scenario: min_replicas must be an integer, got 2.5",
+        ),
+        "admission-queue": (
+            ["--admission", "queue=2.5"],
+            "invalid serving scenario: max_queue_depth must be an integer, got 2.5",
+        ),
+        "carbon-waiting-queue": (
+            ["--admission", "carbon_waiting:queue=2.5"],
+            "invalid serving scenario: max_queue_depth must be an integer, got 2.5",
+        ),
+        "diurnal-steps": (
+            ["--carbon-trace", "diurnal:steps=2.5"],
+            "invalid serving scenario: diurnal steps must be an integer, got 2.5",
+        ),
+        "fault-seed": (
+            ["--fault", "random:mtbf=0.01,mttr=0.001,horizon=1,seed=2.5"],
+            "invalid fault schedule: seed must be an integer, got 2.5",
+        ),
+        "fault-seed-nan": (
+            ["--fault", "random:mtbf=0.01,mttr=0.001,horizon=1,seed=nan"],
+            "invalid fault schedule: seed must be finite, got nan",
+        ),
+        "fault-replica": (
+            ["--fault", "fail@0.001:r0.5"],
+            "invalid fault schedule: fault replica must be an integer, got 0.5",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_serve_exits_2_with_one_line_naming_the_slot(self, capsys, case):
+        flags, line = self._CASES[case]
+        assert main(_TINY_SERVE + flags) == 2
+        assert capsys.readouterr().err == line + "\n"
+
+
+def test_plan_repeated_grid_value_exits_2_with_one_line(capsys):
+    """Repeating a grid value used to sweep its scenarios twice and exit 0."""
+    argv = ["plan", "--backend", "cpu", "--tenants", "1", "--num-graphs", "2", "--replicas", "1,1"]
+    argv += ["--policies", "round_robin", "--duration", "0.005", "--workers", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invalid plan sweep: grid 'replicas' repeats 1: [1, 1]\n"

@@ -419,6 +419,40 @@ class TestFastScheduler:
             )
 
 
+class TestCycleModelProperties:
+    """Properties of the reference ``schedule_layer`` itself.  The
+    differential above compares two schedulers, so a bug that both share
+    would pass it; these properties need no second scheduler."""
+
+    @differential_settings()
+    @given(
+        graph=small_graphs(),
+        config=configs,
+        strategy=st.sampled_from(PipelineStrategy.ALL),
+        queue_depth=st.integers(1, 4),
+        edge=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    )
+    def test_generated_layers_stay_in_bounds_and_monotone(self, graph, config, strategy, queue_depth, edge):
+        """On every zoo spec: no unit type is busy for more cycle slots than
+        the layer has, one more edge never makes the layer faster and one
+        more NT unit never makes it slower.  One more MP unit can make a
+        FlowGNN layer slower (docs/architecture.md), so that is not asserted."""
+        config = dataclasses.replace(config, pipeline=strategy, node_queue_depth=queue_depth)
+        more_nt = dataclasses.replace(config, num_nt_units=config.num_nt_units + 1)
+        grown = None
+        if graph.num_nodes:
+            extra = [[edge[0] % graph.num_nodes, edge[1] % graph.num_nodes]]
+            grown = Graph(num_nodes=graph.num_nodes, edge_index=np.concatenate([graph.edge_index, extra]))
+        for spec in zoo_layer_specs():
+            timing = schedule_layer(graph, spec, config)
+            assert timing.nt_utilisation <= 1 and timing.mp_utilisation <= 1
+            assert timing.cycles * timing.nt_units >= timing.nt_busy_cycles
+            assert timing.cycles * timing.mp_units >= timing.mp_busy_cycles
+            assert schedule_layer(graph, spec, more_nt).cycles <= timing.cycles
+            if grown is not None:
+                assert schedule_layer(grown, spec, config).cycles >= timing.cycles
+
+
 class TestScheduleFnHook:
     def test_simulate_inference_accepts_schedule_fn(self, molhiv):
         from repro.arch import simulate_inference

@@ -1,75 +1,15 @@
-"""Tests for the generic message-passing layer and pooling/heads."""
+"""Tests for global pooling and the prediction heads."""
 
 import numpy as np
 import pytest
 
-from repro.graph import Graph
 from repro.nn import (
     LinearHead,
     MLPHead,
-    MessagePassingLayer,
     global_max_pool,
     global_mean_pool,
     global_sum_pool,
 )
-
-
-class TestMessagePassingLayer:
-    def test_default_sum_of_neighbours(self, tiny_graph):
-        layer = MessagePassingLayer(message_fn=lambda xs, xd, e: xs, aggregation="sum")
-        x = tiny_graph.node_features
-        out = layer.propagate(tiny_graph, x)
-        # Node 0 receives from nodes 1, 2, 3.
-        np.testing.assert_allclose(out[0], x[1] + x[2] + x[3])
-        # Node 1 receives only from node 0.
-        np.testing.assert_allclose(out[1], x[0])
-
-    def test_edge_features_added_by_default_message(self, tiny_graph):
-        # Default phi adds edge features when widths match.
-        graph = tiny_graph.with_edge_features(np.ones((tiny_graph.num_edges, 3)))
-        layer = MessagePassingLayer(aggregation="sum")
-        out = layer.propagate(graph, graph.node_features)
-        x = graph.node_features
-        np.testing.assert_allclose(out[1], x[0] + 1.0)
-
-    def test_custom_update_function(self, tiny_graph):
-        layer = MessagePassingLayer(
-            message_fn=lambda xs, xd, e: xs,
-            aggregation="mean",
-            update_fn=lambda x, m: x + m,
-        )
-        out = layer.propagate(tiny_graph, tiny_graph.node_features)
-        x = tiny_graph.node_features
-        np.testing.assert_allclose(out[1], x[1] + x[0])
-
-    def test_callable_aggregation(self, tiny_graph):
-        def first_dim_only(messages, destinations, num_nodes):
-            out = np.zeros((num_nodes, messages.shape[1]))
-            np.add.at(out, destinations, messages)
-            return out * 2.0
-
-        layer = MessagePassingLayer(aggregation=first_dim_only)
-        out = layer.propagate(tiny_graph, tiny_graph.node_features)
-        reference = MessagePassingLayer(aggregation="sum").propagate(
-            tiny_graph, tiny_graph.node_features
-        )
-        np.testing.assert_allclose(out, 2.0 * reference)
-
-    def test_graph_with_no_edges(self):
-        graph = Graph(num_nodes=3, edge_index=np.zeros((0, 2)), node_features=np.ones((3, 4)))
-        layer = MessagePassingLayer(aggregation="sum")
-        out = layer.propagate(graph, graph.node_features)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_embedding_row_mismatch_rejected(self, tiny_graph):
-        layer = MessagePassingLayer()
-        with pytest.raises(ValueError):
-            layer.propagate(tiny_graph, np.zeros((2, 3)))
-
-    def test_edge_embedding_row_mismatch_rejected(self, tiny_graph):
-        layer = MessagePassingLayer()
-        with pytest.raises(ValueError):
-            layer.propagate(tiny_graph, tiny_graph.node_features, np.zeros((1, 3)))
 
 
 class TestPooling:

@@ -111,6 +111,22 @@ class TestPlanSpec:
         with pytest.raises(ValueError, match="unique"):
             PlanSpec(mixes=[_mix(), _mix()])
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"replicas": (1, 2, 1)}, r"grid 'replicas' repeats 1: \[1, 2, 1\]"),
+            # Equal values sweep the same scenarios, whatever their type.
+            ({"batch_timeouts_s": (0, 0.0)}, r"grid 'batch_timeouts_s' repeats 0.0"),
+            ({"policies": ("edf", "round_robin", "edf")}, "grid 'policies' repeats 'edf'"),
+            ({"queue_capacities": (None, 16, None)}, "grid 'queue_capacities' repeats None"),
+        ],
+        ids=["int", "float", "str", "none"],
+    )
+    def test_repeated_grid_values_rejected(self, overrides, match):
+        """A repeated value would sweep its scenarios twice."""
+        with pytest.raises(ValueError, match=match):
+            PlanSpec(mixes=[_mix()], **overrides)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             PlanSpec(mixes=[_mix()], mode="approximate")
