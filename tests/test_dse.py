@@ -452,6 +452,18 @@ class TestCycleModelProperties:
             if grown is not None:
                 assert schedule_layer(grown, spec, config).cycles >= timing.cycles
 
+    @pytest.mark.parametrize("num_mp, cycles", [(1, 191), (2, 164), (3, 191)])
+    def test_documented_extra_mp_unit_slowdown(self, num_mp, cycles):
+        """The docs/architecture.md example of why one more MP unit is not
+        asserted: edges 2->0 and 3->3 share bank 0 at P_edge = 3."""
+        dataset = load_dataset("MolHIV", num_graphs=1)
+        model = build_model("GCN", input_dim=dataset.node_feature_dim, edge_input_dim=dataset.edge_feature_dim)
+        hidden = [spec for spec in model.layer_specs() if (spec.in_dim, spec.out_dim) == (100, 100)][0]
+        graph = Graph(num_nodes=4, edge_index=np.array([[2, 0], [3, 3]]))
+        config = ArchitectureConfig(num_mp_units=num_mp)
+        assert config.pipeline == PipelineStrategy.FLOWGNN
+        assert schedule_layer(graph, hidden, config).cycles == cycles
+
 
 class TestScheduleFnHook:
     def test_simulate_inference_accepts_schedule_fn(self, molhiv):

@@ -127,6 +127,38 @@ class TestPlanSpec:
         with pytest.raises(ValueError, match=match):
             PlanSpec(mixes=[_mix()], **overrides)
 
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            ("max_batch_sizes", (1, 4, 4)),
+            ("arrivals", ("poisson", "bursty", "poisson")),
+            ("autoscalers", (None, "reactive:min=1,max=2", None)),
+            ("faults", ("fail@0.001:r0", "fail@0.001:r0")),
+            ("admissions", ("queue=8", None, "queue=8")),
+            ("carbon_traces", ("diurnal", "diurnal")),
+            ("power_caps", (None, 5.0, 5.0)),
+        ],
+    )
+    def test_every_other_grid_rejects_a_repeated_value(self, grid, values):
+        """The seven grids the cases above leave out."""
+        with pytest.raises(ValueError) as raised:
+            PlanSpec(mixes=[_mix()], **{grid: values})
+        repeated = next(value for index, value in enumerate(values) if value in values[:index])
+        assert str(raised.value) == f"grid {grid!r} repeats {repeated!r}: {list(values)}"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"replicas": (0, 0)}, "every replicas value must be >= 1"),
+            ({"power_caps": (-1.0, -1.0)}, "power cap must be finite and > 0, got -1.0"),
+        ],
+        ids=["replicas", "power-caps"],
+    )
+    def test_a_bad_value_is_reported_before_its_repeat(self, overrides, message):
+        with pytest.raises(ValueError) as raised:
+            PlanSpec(mixes=[_mix()], **overrides)
+        assert str(raised.value) == message
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             PlanSpec(mixes=[_mix()], mode="approximate")

@@ -394,6 +394,22 @@ class TestCarbonIntensity:
         # Periodicity: one period later reads the same segment.
         assert trace.intensity_at(0.25) == trace.intensity_at(1.25)
 
+    def test_integral_diurnal_steps_parse_as_the_int(self):
+        assert CarbonIntensity.parse("diurnal:steps=6.0") == CarbonIntensity.parse("diurnal:steps=6")
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("2.5", "diurnal steps must be an integer, got 2.5"),
+            ("inf", "diurnal steps must be finite, got inf"),
+            ("nan", "diurnal steps must be finite, got nan"),
+        ],
+    )
+    def test_non_integral_diurnal_steps_rejected(self, steps, message):
+        with pytest.raises(ValueError) as raised:
+            CarbonIntensity.parse(f"diurnal:steps={steps}")
+        assert str(raised.value) == message
+
     def test_periodic_integral_unwraps_whole_periods(self):
         trace = CarbonIntensity.diurnal(period_s=1.0, steps=8)
         one = trace.integral(0.0, 1.0)

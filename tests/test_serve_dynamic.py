@@ -376,6 +376,28 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             FaultSchedule.parse(text, num_replicas=2, horizon_s=0.1)
 
+    def test_integral_seed_and_replica_parse_as_ints(self):
+        kwargs = {"num_replicas": 3, "horizon_s": 0.1}
+        seeded = FaultSchedule.parse("random:mtbf=0.02,mttr=0.005,seed=3.0", **kwargs)
+        assert seeded == FaultSchedule.parse("random:mtbf=0.02,mttr=0.005,seed=3", **kwargs)
+        schedule = FaultSchedule.parse("fail@0.01:r1.0;recover@0.02:r1", num_replicas=2)
+        assert [type(event.replica) for event in schedule.events] == [int, int]
+        assert schedule.events[0].replica == schedule.events[1].replica == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("random:mtbf=0.02,mttr=0.005,seed=inf", "seed must be finite, got inf"),
+            ("fail@0.01:r1.5", "fault replica must be an integer, got 1.5"),
+            ("degrade@0.01:rnanx2", "fault replica must be finite, got nan"),
+        ],
+        ids=["seed-inf", "replica-fraction", "replica-nan"],
+    )
+    def test_non_integral_seed_and_replica_rejected(self, text, message):
+        with pytest.raises(ValueError) as raised:
+            FaultSchedule.parse(text, num_replicas=2, horizon_s=0.1)
+        assert str(raised.value) == message
+
     def test_event_replica_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Cluster(
@@ -407,6 +429,25 @@ class TestAutoscalerParsing:
     def test_unknown_specs_rejected(self, text):
         with pytest.raises(ValueError):
             parse_autoscaler(text)
+
+    @pytest.mark.parametrize("name", ["reactive", "predictive", "carbon"])
+    @pytest.mark.parametrize("key, attr", [("min", "min_replicas"), ("max", "max_replicas")])
+    def test_fractional_replica_bounds_rejected(self, name, key, attr):
+        """``int()`` used to truncate 2.5 to 2 without a word."""
+        with pytest.raises(ValueError) as raised:
+            parse_autoscaler(f"{name}:{key}=2.5")
+        assert str(raised.value) == f"{attr} must be an integer, got 2.5"
+
+    @pytest.mark.parametrize("name", ["reactive", "predictive", "carbon"])
+    def test_integral_replica_bounds_parse_as_ints(self, name):
+        autoscaler = parse_autoscaler(f"{name}:min=2.0,max=4e0")
+        assert (autoscaler.min_replicas, autoscaler.max_replicas) == (2, 4)
+        assert type(autoscaler.min_replicas) is int and type(autoscaler.max_replicas) is int
+
+    @pytest.mark.parametrize("text", ["queue=16.0", "carbon_waiting:queue=16.0"])
+    def test_integral_queue_depth_parses_as_int(self, text):
+        depth = parse_admission(text).max_queue_depth
+        assert depth == 16 and type(depth) is int
 
     def test_admission_parse_and_validation(self):
         control = parse_admission("queue=64,headroom=1.5")
