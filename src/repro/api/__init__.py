@@ -40,7 +40,7 @@ from .backends import (
 )
 from .measure import MeasurementCache, measurement_key
 from .report import InferenceReport
-from .request import InferenceRequest, ResolvedRequest
+from .request import InferenceRequest, ResolvedRequest, resolve_all
 
 __all__ = [
     "MeasurementCache",
@@ -57,4 +57,5 @@ __all__ = [
     "InferenceReport",
     "InferenceRequest",
     "ResolvedRequest",
+    "resolve_all",
 ]

@@ -12,7 +12,9 @@ bad knob fails at construction time, before any backend runs.
 Name resolution happens once, in :meth:`InferenceRequest.resolve`, through
 the same registries the rest of the repo uses (:func:`repro.nn.build_model`,
 :func:`repro.datasets.load_dataset`), so a request means the same thing to
-every backend.
+every backend.  :func:`resolve_all` resolves a group of requests so that
+requests naming the same registry entries share one model and one graph
+list.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..nn import build_model
 from ..nn.model_zoo import canonical_model_name
 from ..nn.models.base import GNNModel
 
-__all__ = ["InferenceRequest", "ResolvedRequest", "PARALLELISM_ALIASES"]
+__all__ = ["InferenceRequest", "ResolvedRequest", "PARALLELISM_ALIASES", "resolve_all"]
 
 # Short knob names accepted in a config dict, mapped to ArchitectureConfig
 # fields (the four paper knobs; full field names are accepted too).
@@ -203,12 +205,11 @@ class InferenceRequest:
         back at the request: without that cycle, a dropped request frees its
         graphs and model at once instead of at the next full garbage
         collection.  Mutating a request's fields after the first ``resolve``
-        is not supported.
+        is not supported.  :func:`resolve_all` fills the same memo for a
+        group of requests, sharing the parts of requests with equal registry
+        keys.
         """
-        parts = self.__dict__.get("_resolved")
-        if parts is None:
-            parts = self.__dict__["_resolved"] = self._resolve()
-        model, graphs, dataset_name = parts
+        model, graphs, dataset_name = self._parts()
         return ResolvedRequest(
             model=model,
             graphs=graphs,
@@ -217,6 +218,20 @@ class InferenceRequest:
             dataset_name=dataset_name,
             request=self,
         )
+
+    def _parts(self) -> Tuple[GNNModel, List[Graph], str]:
+        """The memoised ``(model, graphs, dataset name)`` of this request."""
+        parts = self.__dict__.get("_resolved")
+        if parts is None:
+            parts = self.__dict__["_resolved"] = self._resolve()
+        return parts
+
+    def _registry_key(self) -> Optional[tuple]:
+        """Everything resolution reads, or ``None`` when the request names a
+        model or dataset instance (it then resolves on its own)."""
+        if isinstance(self.model, str) and isinstance(self.dataset, str):
+            return (self.model, self.dataset, self.num_graphs, self.scale, self.seed)
+        return None
 
     def _resolve(self) -> Tuple[GNNModel, List[Graph], str]:
         graphs, dataset_name, node_dim, edge_dim = self._resolve_graphs()
@@ -268,3 +283,33 @@ class InferenceRequest:
             f"InferenceRequest(model={model!r}, dataset={dataset!r}, "
             f"bs={self.batch_size}, config={self.config.describe()})"
         )
+
+
+def resolve_all(requests: Iterable[InferenceRequest]) -> None:
+    """Resolve ``requests``, once per distinct registry key.
+
+    Requests naming the same registry model and dataset with equal
+    ``num_graphs``, ``scale`` and ``seed`` end up sharing one built model and
+    one graph list in their :meth:`~InferenceRequest.resolve` memos: the
+    dataset is generated and the model built once per key.  Both are seeded,
+    so a shared copy equals the one each request would build on its own.
+
+    A request that is already resolved keeps its parts and lends them to the
+    unresolved requests with its key; a request naming a model or dataset
+    instance resolves on its own.  Nothing outside the requests holds the
+    shared parts, so they are freed with the last request that holds them.
+    """
+    requests = list(requests)
+    shared: dict = {}
+    for request in requests:
+        key = request._registry_key()
+        if key is not None and "_resolved" in request.__dict__:
+            shared.setdefault(key, request.__dict__["_resolved"])
+    for request in requests:
+        key = request._registry_key()
+        if key in shared:
+            request.__dict__.setdefault("_resolved", shared[key])
+            continue
+        parts = request._parts()
+        if key is not None:
+            shared[key] = parts

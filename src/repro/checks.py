@@ -5,14 +5,15 @@ comparison with NaN is false; a NaN event time or interval then never
 matches the event loop's clock, and the loop spins.  These helpers ask the
 question the other way round (is the value finite and in range?), so NaN
 and ±inf fail it.  Comparing an ``int`` with ``inf`` is exact, so a huge
-count passes where ``math.isfinite`` would overflow.
+count passes where ``math.isfinite`` would overflow.  Spec text becomes a
+number through :func:`number`, whose message names the slot.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["finite_nonnegative", "finite_positive", "integral", "reject_repeats"]
+__all__ = ["finite_nonnegative", "finite_positive", "integral", "number", "reject_repeats"]
 
 
 def finite_nonnegative(value, name: str):
@@ -41,6 +42,19 @@ def integral(value, name: str) -> int:
     if value != int(value):
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
+
+
+def number(text: str, name: str) -> float:
+    """``float(text)``, or a ``ValueError`` that names the slot and quotes ``text``.
+
+    Use it in place of ``float()`` on spec text: ``float()`` says only
+    "could not convert string to float", naming neither the slot nor the
+    option.  ``nan`` and ``inf`` parse; the range checks reject them.
+    """
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
 
 
 def reject_repeats(what: str, values) -> None:

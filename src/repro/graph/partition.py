@@ -49,12 +49,6 @@ class BankPartition:
             np.int64
         )
 
-    def nodes_per_bank(self) -> np.ndarray:
-        """Number of destination nodes owned by each bank."""
-        return np.bincount(self.node_to_bank, minlength=self.num_banks).astype(
-            np.int64
-        )
-
     def bank_edge_ids(self, bank: int) -> np.ndarray:
         """Indices (into the COO list) of the edges owned by ``bank``."""
         return np.nonzero(self.edge_to_bank == bank)[0]

@@ -47,6 +47,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..arch.pipeline import dataclass_fields
+from ..checks import number
 from .workload import Workload
 
 #: Largest timestamp chunk a per-tenant stream yields, and the rows per step
@@ -423,7 +424,7 @@ class DiurnalArrivals(ArrivalProcess):
                 raise ValueError(
                     f"unknown diurnal option {key!r}; use low=, high=, period="
                 )
-            options[keys[key]] = float(value)
+            options[keys[key]] = number(value, f"diurnal {key}")
         return options
 
     def _intensity_multiplier(self, times: np.ndarray) -> np.ndarray:
@@ -551,7 +552,8 @@ def _read_trace_csv(
         if tenant_column in reader.fieldnames:
             tenants = []
         for row in reader:
-            times.append(float(row[time_column]))
+            at = f"trace CSV {path!r} line {reader.line_num} column {time_column!r}"
+            times.append(number(row[time_column], at))
             if tenants is not None:
                 tenants.append(row[tenant_column])
     return times, tenants

@@ -57,7 +57,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..checks import finite_nonnegative, finite_positive, integral
+from ..checks import finite_nonnegative, finite_positive, integral, number
 
 __all__ = [
     "AutoscalerMetrics",
@@ -457,8 +457,8 @@ def parse_autoscaler(text: str) -> Autoscaler:
                 f"expected one of {sorted(keys)}"
             )
         attr, cast = keys[key]
-        number = float(value)
-        kwargs[attr] = integral(number, attr) if cast is int else number
+        parsed = number(value, attr)
+        kwargs[attr] = integral(parsed, attr) if cast is int else parsed
     return factory(**kwargs)
 
 
@@ -488,13 +488,13 @@ def parse_admission(text: str) -> AdmissionControl:
                     f"cannot parse admission parameter {pair!r}; expected k=v"
                 )
             if key == "threshold":
-                kwargs["carbon_threshold"] = float(value)
+                kwargs["carbon_threshold"] = number(value, "carbon_threshold")
             elif key == "release":
-                kwargs["release_headroom"] = float(value)
+                kwargs["release_headroom"] = number(value, "release_headroom")
             elif key == "queue":
-                kwargs["max_queue_depth"] = integral(float(value), "max_queue_depth")
+                kwargs["max_queue_depth"] = _queue_depth(value)
             elif key == "headroom":
-                kwargs["deadline_headroom"] = float(value)
+                kwargs["deadline_headroom"] = number(value, "deadline_headroom")
             else:
                 raise ValueError(
                     f"unknown carbon_waiting parameter {key!r}; "
@@ -512,9 +512,9 @@ def parse_admission(text: str) -> AdmissionControl:
         if not eq:
             raise ValueError(f"cannot parse admission parameter {pair!r}; expected k=v")
         if key == "queue":
-            max_queue_depth = integral(float(value), "max_queue_depth")
+            max_queue_depth = _queue_depth(value)
         elif key == "headroom":
-            deadline_headroom = float(value)
+            deadline_headroom = number(value, "deadline_headroom")
         else:
             raise ValueError(
                 f"unknown admission parameter {key!r}; expected queue/headroom"
@@ -522,3 +522,8 @@ def parse_admission(text: str) -> AdmissionControl:
     return AdmissionControl(
         max_queue_depth=max_queue_depth, deadline_headroom=deadline_headroom
     )
+
+
+def _queue_depth(text: str) -> int:
+    """The ``queue=`` slot of an admission spec."""
+    return integral(number(text, "max_queue_depth"), "max_queue_depth")

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..checks import finite_nonnegative, finite_positive, integral
+from ..checks import finite_nonnegative, finite_positive, integral, number
 
 __all__ = ["CarbonIntensity", "parse_carbon_trace", "J_PER_KWH"]
 
@@ -146,8 +146,11 @@ class CarbonIntensity:
                     f"carbon CSV {path!r} has no {intensity_column!r} column"
                 )
             for row in reader:
-                times.append(float(row[time_column]))
-                values.append(float(row[intensity_column]))
+                at = f"carbon CSV {path!r} line {reader.line_num}"
+                times.append(number(row[time_column], f"{at} column {time_column!r}"))
+                values.append(
+                    number(row[intensity_column], f"{at} column {intensity_column!r}")
+                )
         if not times:
             raise ValueError(f"carbon CSV {path!r} has no rows")
         return cls(times_s=tuple(times), intensities=tuple(values), period_s=period_s)
@@ -173,7 +176,7 @@ class CarbonIntensity:
                         f"cannot parse diurnal parameter {pair!r}; "
                         f"expected one of {sorted(known)} as k=v"
                     )
-                known[key] = float(value)
+                known[key] = number(value, f"diurnal {key}")
             return cls.diurnal(
                 low=known["low"],
                 high=known["high"],
@@ -183,7 +186,7 @@ class CarbonIntensity:
         if name == "constant":
             if not rest:
                 raise ValueError("constant carbon trace needs a value, e.g. constant:420")
-            return cls.constant(float(rest))
+            return cls.constant(number(rest, "constant carbon intensity"))
         if name == "trace":
             if not rest:
                 raise ValueError("carbon trace replay needs a path, e.g. trace:grid.csv")

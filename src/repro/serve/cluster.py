@@ -50,8 +50,8 @@ from typing import (
 
 import numpy as np
 
-from ..api import Backend, InferenceRequest, Measurement, MeasurementCache, get_backend
-from ..checks import finite_nonnegative, finite_positive
+from ..api import Backend, InferenceRequest, Measurement, MeasurementCache, get_backend, resolve_all
+from ..checks import finite_nonnegative, finite_positive, integral
 from .arrivals import REQUEST_ORDER, ServingRequest
 from .autoscale import (
     AdmissionControl,
@@ -99,7 +99,10 @@ class TenantService:
     to ``run`` for third-party backends without it); batch-size variants are
     measured lazily and cached, so dynamic batching only pays for the batch
     sizes that actually occur.  Replicas are identical hardware and share
-    one ``TenantService``.
+    one ``TenantService``.  ``resolved`` is the workload request's memoised
+    resolution: a :class:`Cluster` resolves its requests together
+    (:func:`~repro.api.resolve_all`), so tenants with equal registry keys
+    share one model and one graph list.
 
     A :class:`~repro.api.MeasurementCache` can back the lazy measurements;
     the serving-scenario sweep engine (:mod:`repro.plan`) pre-measures every
@@ -722,6 +725,15 @@ def _fold_periods(arrival: np.ndarray, service: np.ndarray, heads: np.ndarray) -
     return buffer[cell].reshape(heads.shape)
 
 
+def _at_least_one(value, name: str, hint: str = "") -> int:
+    """``value`` as an ``int`` when it is integral and >= 1; otherwise
+    ``ValueError`` naming ``name`` (a fraction, NaN or ±inf included)."""
+    value = integral(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1{hint}")
+    return value
+
+
 @dataclass
 class Cluster:
     """A pool of identical backend replicas serving many tenants.
@@ -729,7 +741,10 @@ class Cluster:
     Parameters
     ----------
     workloads:
-        The tenants (unique names).
+        The tenants (unique names).  Their requests are resolved together
+        (:func:`~repro.api.resolve_all`): each distinct (model, dataset,
+        ``num_graphs``, ``scale``, ``seed``) is loaded and built once, and
+        its tenants share the model and graph list for as long as they live.
     backend:
         Registered backend name; every replica is one instance of it.
     num_replicas:
@@ -814,13 +829,13 @@ class Cluster:
         names = [w.tenant for w in self.workloads]
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique; got {names}")
-        if self.num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+        self.num_replicas = _at_least_one(self.num_replicas, "num_replicas")
+        self.max_batch_size = _at_least_one(self.max_batch_size, "max_batch_size")
         finite_nonnegative(self.batch_timeout_s, "batch_timeout_s")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
+        if self.queue_capacity is not None:
+            self.queue_capacity = _at_least_one(
+                self.queue_capacity, "queue_capacity", " (or None for unbounded)"
+            )
         if isinstance(self.autoscaler, str):
             self.autoscaler = parse_autoscaler(self.autoscaler)
         if isinstance(self.faults, str):
@@ -837,6 +852,7 @@ class Cluster:
             self.policy = get_policy(self.policy)
         backend_instance = get_backend(self.backend)
         self.backend = backend_instance.name
+        resolve_all(w.request for w in self.workloads)
         self.services = {
             w.tenant: TenantService(w, backend_instance, cache=self.measurement_cache)
             for w in self.workloads
@@ -882,21 +898,19 @@ class Cluster:
         clone = Cluster.__new__(Cluster)
         clone.__dict__.update(self.__dict__)
         if num_replicas is not None:
-            if num_replicas < 1:
-                raise ValueError("num_replicas must be >= 1")
-            clone.num_replicas = int(num_replicas)
+            clone.num_replicas = _at_least_one(num_replicas, "num_replicas")
         if policy is not None:
             clone.policy = get_policy(policy) if isinstance(policy, str) else policy
         if max_batch_size is not None:
-            if max_batch_size < 1:
-                raise ValueError("max_batch_size must be >= 1")
-            clone.max_batch_size = int(max_batch_size)
+            clone.max_batch_size = _at_least_one(max_batch_size, "max_batch_size")
         if batch_timeout_s is not None:
             finite_nonnegative(batch_timeout_s, "batch_timeout_s")
             clone.batch_timeout_s = float(batch_timeout_s)
         if queue_capacity is not ...:
-            if queue_capacity is not None and queue_capacity < 1:
-                raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
+            if queue_capacity is not None:
+                queue_capacity = _at_least_one(
+                    queue_capacity, "queue_capacity", " (or None for unbounded)"
+                )
             clone.queue_capacity = queue_capacity
         if autoscaler is not ...:
             clone.autoscaler = (

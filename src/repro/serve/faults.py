@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import finite_nonnegative, finite_positive, integral
+from ..checks import finite_nonnegative, finite_positive, integral, number
 
 __all__ = ["FaultEvent", "FaultSchedule", "parse_fault_schedule", "FAULT_ACTIONS"]
 
@@ -218,15 +218,15 @@ def _parse_event(part: str) -> FaultEvent:
     factor = 1.0
     if "x" in replica_text:
         replica_text, _, factor_text = replica_text.partition("x")
-        factor = float(factor_text)
+        factor = number(factor_text, "fault factor")
     if not replica_text.startswith("r"):
         raise ValueError(
             f"cannot parse fault event {part!r}; replica must be written rN"
         )
     return FaultEvent(
-        time_s=float(time_text),
+        time_s=number(time_text, "fault time"),
         action=action,
-        replica=integral(float(replica_text[1:]), "fault replica"),
+        replica=integral(number(replica_text[1:], "fault replica"), "fault replica"),
         factor=factor,
     )
 
@@ -241,7 +241,8 @@ def _parse_kv(text: str, what: str) -> dict:
         key, eq, value = pair.partition("=")
         if not eq:
             raise ValueError(f"cannot parse {what} parameter {pair!r}; expected k=v")
-        params[key.strip()] = float(value)
+        key = key.strip()
+        params[key] = number(value, f"{what} {key}")
     return params
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..checks import finite_nonnegative, finite_positive
+from ..checks import finite_nonnegative, finite_positive, number
 
 __all__ = ["PowerModel", "parse_power_model"]
 
@@ -95,7 +95,7 @@ class PowerModel:
                     f"cannot parse power parameter {pair!r}; "
                     f"expected one of {sorted(known)} as k=v"
                 )
-            params[key] = float(value)
+            params[key] = number(value, f"power {key}")
         if "busy" not in params:
             raise ValueError("power model needs busy=... watts")
         busy = params["busy"]

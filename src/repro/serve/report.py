@@ -253,10 +253,6 @@ class ServingReport:
         return [ServingRecord(*row) for row in zip(*self.record_columns)]
 
     @property
-    def tenant_reports(self) -> Dict[str, InferenceReport]:
-        return {name: outcome.report for name, outcome in self.tenants.items()}
-
-    @property
     def submitted(self) -> int:
         return sum(outcome.submitted for outcome in self.tenants.values())
 

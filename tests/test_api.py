@@ -19,7 +19,9 @@ from repro.api import (
     InferenceRequest,
     get_backend,
     register_backend,
+    resolve_all,
 )
+from repro.api import request as api_request
 from repro.arch import FlowGNNAccelerator
 
 
@@ -109,6 +111,97 @@ class TestInferenceRequest:
     def test_empty_graph_list_with_model_name_rejected(self):
         with pytest.raises(ValueError, match="empty graph list"):
             InferenceRequest(model="GIN", dataset=[]).resolve()
+
+
+class TestResolveAll:
+    """``resolve_all`` resolves each distinct registry key once and shares
+    the model and graph list among the requests with that key."""
+
+    @staticmethod
+    def _request(**overrides):
+        kwargs = {"model": "GIN", "dataset": "MolHIV", "num_graphs": 2, "seed": 3}
+        kwargs.update(overrides)
+        return InferenceRequest(**kwargs)
+
+    def test_equal_keys_share_the_model_and_graphs(self):
+        # batch size, config and deadline are not part of the key.
+        requests = [
+            self._request(),
+            self._request(batch_size=4, deadline_s=1e-3),
+            self._request(config={"p_node": 2}),
+        ]
+        resolve_all(requests)
+        first, *rest = (request.resolve() for request in requests)
+        for other in rest:
+            assert other.model is first.model and other.graphs is first.graphs
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"seed": 4}, {"num_graphs": 3}, {"dataset": "HEP"}, {"model": "GCN"}],
+        ids=["seed", "num_graphs", "dataset", "model"],
+    )
+    def test_a_different_key_gets_its_own_parts(self, overrides):
+        base, other = self._request(), self._request(**overrides)
+        resolve_all([base, other])
+        base, other = base.resolve(), other.resolve()
+        # Not even the graph list is shared across models.
+        assert other.model is not base.model and other.graphs is not base.graphs
+
+    def test_a_resolved_request_keeps_its_parts_and_lends_them(self):
+        unresolved, resolved = self._request(), self._request()
+        parts = resolved.resolve()
+        resolve_all([unresolved, resolved, self._request(batch_size=2)])
+        assert resolved.resolve().model is parts.model
+        assert unresolved.resolve().model is parts.model
+        assert unresolved.resolve().graphs is parts.graphs
+
+    def test_two_resolved_requests_keep_their_own_parts(self):
+        first, second = self._request(), self._request()
+        models = [first.resolve().model, second.resolve().model]
+        resolve_all([first, second])
+        assert [first.resolve().model, second.resolve().model] == models
+        assert models[0] is not models[1]
+
+    def test_a_request_naming_an_instance_resolves_on_its_own(self, gin_model, molhiv_sample):
+        graphs = list(molhiv_sample)[:2]
+        named = self._request()
+        with_model = InferenceRequest(model=gin_model, dataset="MolHIV", num_graphs=2, seed=3)
+        with_graphs = InferenceRequest(model="GIN", dataset=graphs, seed=3)
+        resolve_all([named, with_model, with_graphs])
+        assert with_model.resolve().model is gin_model
+        assert with_model.resolve().graphs is not named.resolve().graphs
+        assert with_graphs.resolve().graphs == graphs
+        assert with_graphs.resolve().model is not named.resolve().model
+
+    def test_load_dataset_runs_once_per_distinct_key(self, monkeypatch):
+        calls = []
+        load = api_request.load_dataset
+
+        def counted(name, **kwargs):
+            calls.append((name, kwargs["num_graphs"], kwargs["seed"]))
+            return load(name, **kwargs)
+
+        monkeypatch.setattr(api_request, "load_dataset", counted)
+        requests = [self._request(seed=seed % 2, num_graphs=2) for seed in range(6)]
+        requests.append(self._request(dataset="HEP"))
+        resolve_all(requests)
+        assert calls == [("MolHIV", 2, 0), ("MolHIV", 2, 1), ("HEP", 2, 3)]
+        for request in requests:
+            request.resolve()
+        assert len(calls) == 3
+
+    def test_shared_parts_are_freed_with_the_last_request(self):
+        requests = [self._request() for _ in range(3)]
+        resolve_all(requests)
+        model = weakref.ref(requests[0].resolve().model)
+        gc.disable()
+        try:
+            del requests[:2]
+            assert model() is not None
+            del requests
+            assert model() is None
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1047,6 +1047,102 @@ class TestFractionalIntegerSpecs:
         assert capsys.readouterr().err == line + "\n"
 
 
+class TestNonNumericSpecValues:
+    """A spec slot given text that is no number used to exit 2 with Python's
+    own ``could not convert string to float: '...'``, naming neither the
+    slot nor, for a CSV, the row and column."""
+
+    _CASES = {
+        "autoscale-min": (
+            ["--autoscale", "reactive:min=abc"],
+            "invalid serving scenario: min_replicas must be a number, got 'abc'",
+        ),
+        "admission-queue": (
+            ["--admission", "queue=abc"],
+            "invalid serving scenario: max_queue_depth must be a number, got 'abc'",
+        ),
+        "admission-headroom": (
+            ["--admission", "headroom=x"],
+            "invalid serving scenario: deadline_headroom must be a number, got 'x'",
+        ),
+        "carbon-waiting-threshold": (
+            ["--admission", "carbon_waiting:threshold=x"],
+            "invalid serving scenario: carbon_threshold must be a number, got 'x'",
+        ),
+        "power-busy": (
+            ["--power", "busy=abc"],
+            "invalid serving scenario: power busy must be a number, got 'abc'",
+        ),
+        "diurnal-steps": (
+            ["--carbon-trace", "diurnal:steps=x"],
+            "invalid serving scenario: diurnal steps must be a number, got 'x'",
+        ),
+        "constant-carbon": (
+            ["--carbon-trace", "constant:abc"],
+            "invalid serving scenario: constant carbon intensity must be a number, got 'abc'",
+        ),
+        "fault-time": (
+            ["--fault", "fail@abc:r0"],
+            "invalid fault schedule: fault time must be a number, got 'abc'",
+        ),
+        "fault-replica": (
+            ["--fault", "fail@0.001:rabc"],
+            "invalid fault schedule: fault replica must be a number, got 'abc'",
+        ),
+        "fault-factor": (
+            ["--fault", "degrade@0.001:r0x0.5y"],
+            "invalid fault schedule: fault factor must be a number, got '0.5y'",
+        ),
+        "random-fault-mtbf": (
+            ["--fault", "random:mtbf=x,mttr=1,horizon=1"],
+            "invalid fault schedule: fault schedule mtbf must be a number, got 'x'",
+        ),
+        "diurnal-arrival-low": (
+            ["--arrival", "diurnal:low=abc"],
+            "cannot generate load: diurnal low must be a number, got 'abc'",
+        ),
+    }
+
+    #: (flag, file name, CSV text, expected line with {path} for the file).
+    _CSV_CASES = {
+        "carbon-csv-cell": (
+            "--carbon-trace",
+            "carbon.csv",
+            "time_s,intensity\n0,100\n1,abc\n",
+            "invalid serving scenario: carbon CSV {path!r} line 3 column 'intensity' "
+            "must be a number, got 'abc'",
+        ),
+        "carbon-csv-missing-cell": (
+            "--carbon-trace",
+            "carbon.csv",
+            "time_s,intensity\n0,100\n1\n",
+            "invalid serving scenario: carbon CSV {path!r} line 3 column 'intensity' "
+            "must be a number, got None",
+        ),
+        "arrival-csv-cell": (
+            "--arrival",
+            "arrivals.csv",
+            "arrival_s\n0.0\nabc\n",
+            "cannot generate load: trace CSV {path!r} line 3 column 'arrival_s' "
+            "must be a number, got 'abc'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_spec_slot_is_named(self, capsys, case):
+        flags, line = self._CASES[case]
+        assert main(_TINY_SERVE + flags) == 2
+        assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize("case", sorted(_CSV_CASES))
+    def test_csv_cell_is_named_by_line_and_column(self, capsys, tmp_path, case):
+        flag, name, text, line = self._CSV_CASES[case]
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(_TINY_SERVE + [flag, f"trace:{path}"]) == 2
+        assert capsys.readouterr().err == line.format(path=str(path)) + "\n"
+
+
 def test_plan_repeated_grid_value_exits_2_with_one_line(capsys):
     """Repeating a grid value used to sweep its scenarios twice and exit 0."""
     argv = ["plan", "--backend", "cpu", "--tenants", "1", "--num-graphs", "2", "--replicas", "1,1"]

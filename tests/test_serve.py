@@ -7,12 +7,14 @@ strictly fewer deadlines than ``round_robin``.
 """
 
 import dataclasses
+import gc
 import math
 import os
 import pickle
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -1439,3 +1441,97 @@ class TestInfiniteArrival:
         }[path]
         with pytest.raises(ValueError, match=f"^arrival_s must be finite, got {arrival}$"):
             run()
+
+
+class TestSizingKnobs:
+    """``num_replicas``, ``max_batch_size`` and ``queue_capacity`` take only
+    integral values.  A NaN queue capacity used to bound nothing, 2.5 held 3
+    requests and inf was a second spelling of ``None``; a fractional pool or
+    batch size was accepted and then failed inside ``serve``, or was
+    truncated by ``with_options`` without a word."""
+
+    KNOBS = ["num_replicas", "max_batch_size", "queue_capacity"]
+
+    @pytest.mark.parametrize("where", ["constructor", "with_options"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf], ids=["fraction", "nan", "inf"])
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_non_integral_value_is_rejected_naming_the_knob(self, two_tenants, cpu_cluster, knob, value, where):
+        build = {
+            "constructor": lambda: Cluster(two_tenants, backend="cpu", **{knob: value}),
+            "with_options": lambda: cpu_cluster.with_options(**{knob: value}),
+        }[where]
+        with pytest.raises(ValueError, match=f"^{knob} must be "):
+            build()
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_integral_float_is_taken_as_an_int(self, two_tenants, cpu_cluster, knob):
+        built = Cluster(two_tenants, backend="cpu", **{knob: 2.0})
+        for cluster in (built, cpu_cluster.with_options(**{knob: 2.0})):
+            value = getattr(cluster, knob)
+            assert value == 2 and type(value) is int
+
+
+class TestSharedResolution:
+    """A cluster resolves each distinct (model, dataset, ``num_graphs``,
+    ``scale``, ``seed``) once; its tenants share the model and graph list,
+    and nothing it simulates moves."""
+
+    @staticmethod
+    def _tenants():
+        return [
+            Workload(
+                f"t{i}",
+                model="GIN" if i % 2 else "GCN",
+                dataset="HEP" if i % 2 else "MolHIV",
+                num_graphs=3,
+                deadline_s=1e-4 * (1 + i % 3),
+            )
+            for i in range(6)
+        ]
+
+    @staticmethod
+    def _cluster(workloads):
+        return Cluster(workloads, backend="flowgnn", num_replicas=2)
+
+    @staticmethod
+    def _reports(cluster, workloads):
+        generator = LoadGenerator.poisson(workloads, 2.0 / cluster.mean_service_s(), seed=5)
+        exact = cluster.serve(generator.generate(num_requests=30))
+        sketch = cluster.serve_stream(generator, num_requests=30)
+        return exact.to_dict(), sketch.to_dict()
+
+    def test_each_key_is_resolved_once(self):
+        cluster = self._cluster(self._tenants())
+        models = {name: service.resolved.model for name, service in cluster.services.items()}
+        graphs = {name: service.resolved.graphs for name, service in cluster.services.items()}
+        for name in models:
+            key = int(name[1:]) % 2
+            assert models[name] is models[f"t{key}"] and graphs[name] is graphs[f"t{key}"]
+        assert models["t0"] is not models["t1"]
+
+    def test_reports_equal_those_of_tenants_resolved_on_their_own(self):
+        shared_tenants = self._tenants()
+        shared = self._cluster(shared_tenants)
+        own_tenants = self._tenants()
+        for workload in own_tenants:
+            workload.request.resolve()
+        own = self._cluster(own_tenants)
+        assert len({id(service.resolved.model) for service in own.services.values()}) == 6
+        assert len({id(service.resolved.model) for service in shared.services.values()}) == 2
+        shared_exact, shared_sketch = self._reports(shared, shared_tenants)
+        own_exact, own_sketch = self._reports(own, own_tenants)
+        assert shared_exact["mode"] == "exact" and shared_sketch["mode"] == "sketch"
+        assert shared_exact == own_exact
+        assert shared_sketch == own_sketch
+
+    def test_dropping_the_cluster_frees_the_shared_model(self):
+        workloads = self._tenants()
+        cluster = self._cluster(workloads)
+        reports = self._reports(cluster, workloads)
+        models = [weakref.ref(cluster.services[name].resolved.model) for name in ("t0", "t1")]
+        gc.disable()
+        try:
+            del cluster, workloads, reports
+            assert [model() for model in models] == [None, None]
+        finally:
+            gc.enable()
